@@ -16,6 +16,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench smoke tests (workload reference digests)"
+# The benchmark's own tests run every workload at smoke scale against its
+# recorded reference digests, so a change that alters a workload's output
+# fails here, not only in the benchmark pipeline.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -31,9 +31,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::campaign::{
-    ping_faulty_impl, ping_sink_impl, ping_sink_resumable_impl, traceroute_epoch_impl,
-    traceroute_faulty_impl, traceroute_faulty_reference_impl, traceroute_resumable_impl,
-    CampaignConfig, CampaignReport, PingTimeline, RetryPolicy,
+    ping_sink_impl, ping_sink_resumable_impl, traceroute_epoch_impl, traceroute_faulty_impl,
+    traceroute_faulty_reference_impl, traceroute_resumable_impl, CampaignConfig, CampaignReport,
+    PingTimeline, RetryPolicy, CHECKPOINT_BLOCK_PAIRS,
 };
 use crate::faults::{FaultInjector, FaultProfile};
 use crate::records::TracerouteRecord;
@@ -87,10 +87,18 @@ impl Campaign {
     }
 
     /// Checkpoints completed pairs to `path` and resumes from it on rerun.
-    /// The finished file and the accumulators are bit-identical to an
-    /// uninterrupted run (see the module docs on `campaign` for why).
-    /// Traceroute campaigns archive record blocks; ping campaigns
-    /// (including [`Campaign::sink`] runs) archive serialized sink state.
+    /// Pairs are measured epoch-major through the same batched core as an
+    /// in-memory run, in blocks of `threads × 64` pairs; after each block
+    /// its pairs are appended to `path` in pair order and flushed, so a
+    /// kill loses at most one block. The file format — per pair
+    /// `B|idx|n`, the payload lines, `E|idx` — does not depend on the
+    /// block size or thread count, and the finished file and the
+    /// accumulators are bit-identical to an uninterrupted run (see the
+    /// module docs on `campaign` for why). Traceroute campaigns archive
+    /// record blocks; ping campaigns (including [`Campaign::sink`] runs)
+    /// archive serialized sink state. A worker panic poisons only its own
+    /// pairs ([`CampaignReport::poisoned_pairs`]); the file then ends
+    /// before the first poisoned pair, so a rerun re-measures it.
     pub fn checkpoint(mut self, path: impl AsRef<Path>) -> Self {
         self.checkpoint = Some(path.as_ref().to_path_buf());
         self
@@ -163,7 +171,16 @@ impl Campaign {
     {
         let result = if let Some(path) = &self.checkpoint {
             traceroute_resumable_impl(
-                net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, path, init, step,
+                net,
+                pairs,
+                &self.cfg,
+                opts_of,
+                &self.profile,
+                &self.retry,
+                path,
+                self.checkpoint_block(),
+                init,
+                step,
             )
         } else if self.reference {
             Ok(traceroute_faulty_reference_impl(
@@ -218,35 +235,49 @@ impl Campaign {
 
     /// Runs a ping campaign, returning a dense timeline per
     /// (pair, protocol): one slot per scheduled instant, `NaN` for lost
-    /// samples. With [`Campaign::checkpoint`] set, the run folds through
-    /// the [`TimelineSink`] resumable executor: completed pairs are
-    /// archived as serialized timeline state and replayed on rerun, with
-    /// the same bit-identical-resume guarantee as traceroute campaigns.
+    /// samples — the [`TimelineSink`] fold. With [`Campaign::checkpoint`]
+    /// set, completed pairs are archived as serialized timeline state and
+    /// replayed on rerun, with the same bit-identical-resume guarantee as
+    /// traceroute campaigns.
     pub fn run_ping(
         &self,
         net: &Network,
         pairs: &[(ClusterId, ClusterId)],
     ) -> std::io::Result<(Vec<PingTimeline>, CampaignReport)> {
-        if let Some(path) = &self.checkpoint {
-            let sink = TimelineSink::for_config(&self.cfg);
-            let result = ping_sink_resumable_impl(
-                net, pairs, &self.cfg, &self.profile, &self.retry, path, &sink,
-            );
-            if let Ok((_, report)) = &result {
-                self.publish(report);
-            }
-            return result;
+        let result = self.run_ping_states(net, pairs, &TimelineSink::for_config(&self.cfg));
+        if let Ok((_, report)) = &result {
+            self.publish(report);
         }
-        let (timelines, report) = if self.reference {
+        result
+    }
+
+    /// The ping executor behind both `run_ping` front doors: the
+    /// checkpointed block fold, the single-threaded reference, or the
+    /// batched core, all folding through `sink`. Publishes nothing.
+    fn run_ping_states<K: StreamSink>(
+        &self,
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        sink: &K,
+    ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
+        if let Some(path) = &self.checkpoint {
+            return ping_sink_resumable_impl(
+                net,
+                pairs,
+                &self.cfg,
+                &self.profile,
+                &self.retry,
+                path,
+                self.checkpoint_block(),
+                sink,
+            );
+        }
+        let mut cfg = self.cfg.clone();
+        if self.reference {
             // The reference executor is single-threaded by definition.
-            let mut cfg = self.cfg.clone();
             cfg.threads = 1;
-            ping_faulty_impl(net, pairs, &cfg, &self.profile, &self.retry)
-        } else {
-            ping_faulty_impl(net, pairs, &self.cfg, &self.profile, &self.retry)
-        };
-        self.publish(&report);
-        Ok((timelines, report))
+        }
+        Ok(ping_sink_impl(net, pairs, &cfg, &self.profile, &self.retry, sink))
     }
 
     /// Attaches a streaming sink: the returned [`SinkCampaign`] folds every
@@ -257,6 +288,12 @@ impl Campaign {
     /// reference mode) carry over.
     pub fn sink<K: StreamSink>(self, sink: K) -> SinkCampaign<K> {
         SinkCampaign { campaign: self, sink }
+    }
+
+    /// Pairs per checkpoint block: [`CHECKPOINT_BLOCK_PAIRS`] per worker
+    /// thread.
+    fn checkpoint_block(&self) -> usize {
+        self.cfg.threads.max(1) * CHECKPOINT_BLOCK_PAIRS
     }
 
     /// The registry this run reports into: the explicit
@@ -346,32 +383,7 @@ impl<K: StreamSink> SinkCampaign<K> {
         net: &Network,
         pairs: &[(ClusterId, ClusterId)],
     ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
-        let result = if let Some(path) = &self.campaign.checkpoint {
-            ping_sink_resumable_impl(
-                net,
-                pairs,
-                &self.campaign.cfg,
-                &self.campaign.profile,
-                &self.campaign.retry,
-                path,
-                &self.sink,
-            )
-        } else if self.campaign.reference {
-            let mut cfg = self.campaign.cfg.clone();
-            cfg.threads = 1;
-            Ok(ping_sink_impl(
-                net, pairs, &cfg, &self.campaign.profile, &self.campaign.retry, &self.sink,
-            ))
-        } else {
-            Ok(ping_sink_impl(
-                net,
-                pairs,
-                &self.campaign.cfg,
-                &self.campaign.profile,
-                &self.campaign.retry,
-                &self.sink,
-            ))
-        };
+        let result = self.campaign.run_ping_states(net, pairs, &self.sink);
         if let Ok((states, report)) = &result {
             self.campaign.publish(report);
             self.publish_sink(states, report);

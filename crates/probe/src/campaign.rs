@@ -765,70 +765,6 @@ where
     report
 }
 
-/// The fault-aware parallel ping execution core (see
-/// [`Campaign::run_ping`]): lost slots (crashes, drops, stuck probes) are
-/// recorded as `NaN` so the dense timeline shape — one slot per scheduled
-/// instant — is preserved.
-pub(crate) fn ping_faulty_impl(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    profile: &FaultProfile,
-    retry: &RetryPolicy,
-) -> (Vec<PingTimeline>, CampaignReport) {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let injector = FaultInjector::new(*profile);
-    let times = &times;
-    run_partitioned_isolated(
-        pairs,
-        cfg,
-        move |chunk| {
-            let mut report = CampaignReport::default();
-            let mut out: Vec<PingTimeline> = empty_ping_timelines(chunk, cfg, times.len());
-            for (ti, &t) in times.iter().enumerate() {
-                for (pi, &(src, dst)) in chunk.iter().enumerate() {
-                    for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                        report.offered += 1;
-                        let rtt = if injector.agent_down(src, ti as u64) {
-                            report.agent_down_slots += 1;
-                            None
-                        } else {
-                            ping_slot(
-                                net, &injector, retry, src, dst, proto, t, ti, &mut report,
-                            )
-                        };
-                        out[pi * cfg.protocols.len() + qi]
-                            .rtts
-                            .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
-                    }
-                }
-            }
-            (out, report)
-        },
-        move |chunk| empty_ping_timelines(chunk, cfg, 0),
-    )
-}
-
-fn empty_ping_timelines(
-    chunk: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    capacity: usize,
-) -> Vec<PingTimeline> {
-    chunk
-        .iter()
-        .flat_map(|&(s, d)| {
-            cfg.protocols.iter().map(move |&p| PingTimeline {
-                src: s,
-                dst: d,
-                proto: p,
-                start: cfg.start,
-                interval: cfg.interval,
-                rtts: Vec::with_capacity(capacity),
-            })
-        })
-        .collect()
-}
-
 /// One ping slot under the fault plane (the agent is known to be up).
 #[allow(clippy::too_many_arguments)]
 fn ping_slot(
@@ -920,12 +856,13 @@ where
 // Streaming sinks
 // ---------------------------------------------------------------------------
 
-/// The fault-aware parallel ping executor over a [`StreamSink`]: identical
-/// schedule, fault decisions, and report accounting to [`ping_faulty_impl`],
-/// but every slot is folded into per-(pair, protocol) sink state instead of
-/// a materialized timeline — memory stays proportional to pairs, not
-/// samples. States are ordered pair-major, then protocol in
-/// `cfg.protocols` order, like every other campaign accumulator.
+/// The fault-aware parallel ping execution core (see
+/// [`Campaign::run_ping`]): every slot is folded into per-(pair, protocol)
+/// sink state — memory proportional to pairs, not samples, unless the sink
+/// materializes ([`crate::stream::TimelineSink`], where lost slots stay
+/// `NaN` so the dense timeline shape is preserved). States are ordered
+/// pair-major, then protocol in `cfg.protocols` order, like every other
+/// campaign accumulator.
 pub(crate) fn ping_sink_impl<K: StreamSink>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
@@ -982,17 +919,28 @@ fn empty_sink_states<K: StreamSink>(
         .collect()
 }
 
-/// The checkpoint/resume ping executor over a [`StreamSink`] — the same
-/// framing and bit-identical-resume guarantee as
-/// [`traceroute_resumable_impl`], with serialized sink states as the block
-/// payload: per pair, `B|<pair_index>|<n_states>`, one
-/// [`StreamSink::save`] line per protocol, then `E|<pair_index>`. On
-/// resume, complete leading blocks are [`StreamSink::load`]ed instead of
-/// re-measured (the per-probe report counters of replayed pairs are not
-/// reconstructed, mirroring the traceroute path); a partial trailing block
-/// is discarded. Because fault decisions are content-keyed and
-/// `save`/`load` round-trip bit-exactly, the finished file and the
-/// returned states match an uninterrupted run's.
+// ---------------------------------------------------------------------------
+// Checkpoint / resume
+// ---------------------------------------------------------------------------
+
+/// Pairs per worker thread in one checkpoint block: a checkpointed run
+/// measures `threads × CHECKPOINT_BLOCK_PAIRS` pairs at a time through the
+/// batched core before appending them. Large enough that each block sweeps
+/// the schedule epoch-major over many pairs (a route table is computed
+/// once per block instead of once per pair), small enough that a kill
+/// loses little work.
+pub(crate) const CHECKPOINT_BLOCK_PAIRS: usize = 64;
+
+/// The checkpoint/resume ping executor over a [`StreamSink`]:
+/// [`ping_sink_impl`] run as a block fold by [`run_checkpointed`], with
+/// one [`StreamSink::save`] line per protocol as each pair's block
+/// payload. On resume, complete leading blocks are [`StreamSink::load`]ed
+/// instead of re-measured (the per-probe report counters of replayed
+/// pairs are not reconstructed, mirroring the traceroute path). Because
+/// fault decisions are content-keyed and `save`/`load` round-trip
+/// bit-exactly, the finished file and the returned states match an
+/// uninterrupted run's.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
@@ -1000,112 +948,34 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     profile: &FaultProfile,
     retry: &RetryPolicy,
     checkpoint: &std::path::Path,
+    block_pairs: usize,
     sink: &K,
 ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let states_per_pair = cfg.protocols.len();
-    let injector = FaultInjector::new(*profile);
-    let mut report = CampaignReport::default();
-
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, states_per_pair)?;
-    let done_pairs = replayable.len().min(pairs.len());
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .read(true)
-        .truncate(false)
-        .open(checkpoint)?;
-    file.set_len(keep_bytes)?;
-    let mut out = std::io::BufWriter::new(file);
-    use std::io::{Seek, SeekFrom, Write};
-    out.seek(SeekFrom::End(0))?;
-
-    let mut accs: Vec<K::State> = Vec::with_capacity(pairs.len() * states_per_pair);
-    for (pi, lines) in replayable.iter().take(done_pairs).enumerate() {
-        for line in lines {
-            let st = sink.load(line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint block {pi}: {e}"),
-                )
-            })?;
-            accs.push(st);
-        }
-        report.resumed_pairs += 1;
-    }
-
-    // Measure the rest in batches of `threads` pairs, blocks appended in
-    // pair order after each batch — a kill loses at most one batch.
-    let threads = cfg.threads.max(1);
-    let remaining = &pairs[done_pairs..];
-    let times_ref = &times;
-    for (bi, batch) in remaining.chunks(threads).enumerate() {
-        let batch_base = done_pairs + bi * threads;
-        let batch_results: Vec<(Vec<K::State>, CampaignReport)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|&(src, dst)| {
-                        let injector = &injector;
-                        scope.spawn(move || {
-                            let mut rep = CampaignReport::default();
-                            let mut pair_states: Vec<K::State> = cfg
-                                .protocols
-                                .iter()
-                                .map(|&p| sink.init(src, dst, p))
-                                .collect();
-                            for (ti, &t) in times_ref.iter().enumerate() {
-                                for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                                    rep.offered += 1;
-                                    let rtt = if injector.agent_down(src, ti as u64) {
-                                        rep.agent_down_slots += 1;
-                                        None
-                                    } else {
-                                        ping_slot(
-                                            net, injector, retry, src, dst, proto, t, ti,
-                                            &mut rep,
-                                        )
-                                    };
-                                    let rtt = rtt.map(|r| f64::from(r as f32));
-                                    sink.fold(&mut pair_states[qi], ti as u64, t, rtt);
-                                }
-                            }
-                            for st in &mut pair_states {
-                                sink.finish(st);
-                            }
-                            (pair_states, rep)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("resumable ping worker panicked"))
-                    .collect()
-            });
-        for (off, (pair_states, rep)) in batch_results.into_iter().enumerate() {
-            let pair_index = batch_base + off;
-            report.merge(&rep);
-            writeln!(out, "B|{}|{}", pair_index, pair_states.len())?;
-            for st in &pair_states {
-                writeln!(out, "{}", sink.save(st))?;
-            }
-            writeln!(out, "E|{pair_index}")?;
-            accs.extend(pair_states);
-        }
-        out.flush()?;
-    }
-    Ok((accs, report))
+    run_checkpointed(
+        checkpoint,
+        pairs,
+        cfg.protocols.len(),
+        cfg.protocols.len(),
+        block_pairs,
+        |_, lines| lines.iter().map(|line| sink.load(line)).collect(),
+        |block| {
+            let (states, report) = ping_sink_impl(net, block, cfg, profile, retry, sink);
+            let slots = states
+                .into_iter()
+                .map(|st| {
+                    let line = sink.save(&st);
+                    (st, vec![line])
+                })
+                .collect();
+            (slots, report)
+        },
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint / resume
-// ---------------------------------------------------------------------------
-
 /// The checkpoint/resume execution core (see [`Campaign::checkpoint`] for
-/// the public front door): measures pairs in index order, appending each
-/// completed pair's records to `checkpoint` as a framed block, and on
-/// start replays whatever complete blocks the file already holds instead
-/// of re-measuring those pairs.
+/// the public front door): [`traceroute_faulty_impl`] run as a block fold
+/// by [`run_checkpointed`], so a checkpointed campaign measures
+/// epoch-major and destination-batched exactly like an in-memory one.
 ///
 /// **Bit-identical dataset guarantee.** Kill this process at any instant
 /// and rerun with the same arguments: the finished checkpoint file is
@@ -1118,8 +988,8 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
 /// bytes a fresh pair would have archived.
 ///
 /// The checkpoint format rides the dataset line format: per pair,
-/// `B|<pair_index>|<n_records>`, the records as `T|…` lines, then
-/// `E|<pair_index>`.
+/// `B|<pair_index>|<n_records>`, the records as `T|…` lines (time-major,
+/// protocol-minor), then `E|<pair_index>`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
     net: &Network,
@@ -1129,6 +999,7 @@ pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
     profile: &FaultProfile,
     retry: &RetryPolicy,
     checkpoint: &std::path::Path,
+    block_pairs: usize,
     init: I,
     step: S,
 ) -> std::io::Result<(Vec<A>, CampaignReport)>
@@ -1138,14 +1009,72 @@ where
     I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
     S: Fn(&mut A, TracerouteRecord) + Sync,
 {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let records_per_pair = times.len() * cfg.protocols.len();
-    let injector = FaultInjector::new(*profile);
-    let mut report = CampaignReport::default();
+    let n_samples = cfg.n_samples();
+    let (opts_of, init, step) = (&opts_of, &init, &step);
+    run_checkpointed(
+        checkpoint,
+        pairs,
+        cfg.protocols.len(),
+        n_samples * cfg.protocols.len(),
+        block_pairs,
+        |pi, lines| {
+            let (src, dst) = pairs[pi];
+            let mut accs: Vec<A> = cfg.protocols.iter().map(|&p| init(src, dst, p)).collect();
+            for (li, line) in lines.iter().enumerate() {
+                let rec = traceroute_from_line(line, li + 1).map_err(|e| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+                })?;
+                let qi = cfg.protocols.iter().position(|&p| p == rec.proto).unwrap_or(0);
+                step(&mut accs[qi], rec);
+            }
+            Ok(accs)
+        },
+        |block| {
+            traceroute_faulty_impl(
+                net,
+                block,
+                cfg,
+                opts_of,
+                profile,
+                retry,
+                |s, d, p| (init(s, d, p), Vec::with_capacity(n_samples)),
+                |(acc, lines): &mut (A, Vec<String>), rec| {
+                    let line = traceroute_to_line(&rec);
+                    // Fold the archived form, not the live one: replay
+                    // and fresh paths must fold identical bytes.
+                    step(acc, traceroute_from_line(&line, 0).expect("own format must round-trip"));
+                    lines.push(line);
+                },
+            )
+        },
+    )
+}
 
-    // Load the complete leading blocks; truncate anything after them (a
-    // partial block from a mid-write kill).
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, records_per_pair)?;
+/// The block fold both checkpointed executors share: load the complete
+/// leading pair blocks of `checkpoint` (truncating a torn tail), `replay`
+/// them into accumulators, then measure the remaining pairs `block_pairs`
+/// at a time with `run_block` and append each block's pairs in pair order,
+/// flushing after every block — a kill loses at most one block.
+///
+/// `run_block` returns one `(accumulator, archive lines)` per
+/// (pair, protocol) slot, `slots_per_pair` per pair, pair-major, plus the
+/// block's report; a pair's file block holds its slots' lines interleaved
+/// time-major, protocol-minor. A pair the block's report marks poisoned
+/// (its worker panicked) holds empty accumulators, so appending stops
+/// before it: the rest of the run still measures in memory, and a rerun
+/// re-measures from that pair on instead of replaying its empty state as
+/// complete.
+fn run_checkpointed<A>(
+    checkpoint: &std::path::Path,
+    pairs: &[(ClusterId, ClusterId)],
+    slots_per_pair: usize,
+    lines_per_pair: usize,
+    block_pairs: usize,
+    replay: impl Fn(usize, &[String]) -> std::io::Result<Vec<A>>,
+    run_block: impl Fn(&[(ClusterId, ClusterId)]) -> (Vec<(A, Vec<String>)>, CampaignReport),
+) -> std::io::Result<(Vec<A>, CampaignReport)> {
+    use std::io::{Seek, SeekFrom, Write};
+    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, lines_per_pair)?;
     let done_pairs = replayable.len().min(pairs.len());
     let file = std::fs::OpenOptions::new()
         .create(true)
@@ -1157,103 +1086,45 @@ where
         .open(checkpoint)?;
     file.set_len(keep_bytes)?;
     let mut out = std::io::BufWriter::new(file);
-    use std::io::{Seek, SeekFrom, Write};
     out.seek(SeekFrom::End(0))?;
 
-    let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * cfg.protocols.len());
-
-    // Replay finished pairs through the same fold a fresh run uses.
+    let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * slots_per_pair);
+    let mut report = CampaignReport::default();
     for (pi, lines) in replayable.iter().take(done_pairs).enumerate() {
-        let (src, dst) = pairs[pi];
-        let mut pair_accs: Vec<A> =
-            cfg.protocols.iter().map(|&p| init(src, dst, p)).collect();
-        for (li, line) in lines.iter().enumerate() {
-            let rec = traceroute_from_line(line, li + 1).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint block {pi}: {e}"),
-                )
-            })?;
-            let qi = cfg
-                .protocols
-                .iter()
-                .position(|&p| p == rec.proto)
-                .unwrap_or(0);
-            step(&mut pair_accs[qi], rec);
-        }
+        let pair_accs = replay(pi, lines)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("checkpoint block {pi}: {e}")))?;
         accs.extend(pair_accs);
         report.resumed_pairs += 1;
     }
 
-    // Measure the rest in batches of `threads` pairs; blocks append in
-    // pair order after each batch so a kill loses at most one batch.
-    let threads = cfg.threads.max(1);
-    let remaining = &pairs[done_pairs..];
-    let (times_ref, opts_ref, init_ref, step_ref) = (&times, &opts_of, &init, &step);
-    for (bi, batch) in remaining.chunks(threads).enumerate() {
-        let batch_base = done_pairs + bi * threads;
-        let batch_results: Vec<(Vec<A>, Vec<String>, CampaignReport)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|&(src, dst)| {
-                        let injector = &injector;
-                        scope.spawn(move || {
-                            let mut rep = CampaignReport::default();
-                            let mut pair_accs: Vec<A> = cfg
-                                .protocols
-                                .iter()
-                                .map(|&p| init_ref(src, dst, p))
-                                .collect();
-                            let mut lines = Vec::with_capacity(records_per_pair);
-                            for (ti, &t) in times_ref.iter().enumerate() {
-                                for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                                    let outcome = traceroute_slot(
-                                        net,
-                                        injector,
-                                        retry,
-                                        src,
-                                        dst,
-                                        proto,
-                                        t,
-                                        ti as u64,
-                                        opts_ref(t, proto),
-                                        &mut rep,
-                                    );
-                                    let rec = match outcome {
-                                        SlotOutcome::Record(rec) => rec,
-                                        SlotOutcome::Lost => lost_record(src, dst, proto, t),
-                                    };
-                                    let line = traceroute_to_line(&rec);
-                                    // Fold the archived form, not the live
-                                    // one: replay and fresh paths must fold
-                                    // identical bytes.
-                                    let archived = traceroute_from_line(&line, 0)
-                                        .expect("own format must round-trip");
-                                    step_ref(&mut pair_accs[qi], archived);
-                                    lines.push(line);
-                                }
-                            }
-                            (pair_accs, lines, rep)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("resumable campaign worker panicked"))
-                    .collect()
-            });
-        for (off, (pair_accs, lines, rep)) in batch_results.into_iter().enumerate() {
-            let pair_index = batch_base + off;
-            report.merge(&rep);
-            writeln!(out, "B|{}|{}", pair_index, lines.len())?;
-            for line in &lines {
-                writeln!(out, "{line}")?;
+    let block_pairs = block_pairs.max(1);
+    let mut appending = true;
+    for (bi, block) in pairs[done_pairs..].chunks(block_pairs).enumerate() {
+        let (slots, block_report) = run_block(block);
+        let mut slots = slots.into_iter();
+        for (off, pair) in block.iter().enumerate() {
+            let mut pair_lines = Vec::with_capacity(slots_per_pair);
+            for (acc, lines) in slots.by_ref().take(slots_per_pair) {
+                accs.push(acc);
+                pair_lines.push(lines.into_iter());
             }
-            writeln!(out, "E|{pair_index}")?;
-            accs.extend(pair_accs);
+            appending &= !block_report.poisoned_pairs.contains(pair);
+            if !appending {
+                continue;
+            }
+            let idx = done_pairs + bi * block_pairs + off;
+            let n: usize = pair_lines.iter().map(ExactSizeIterator::len).sum();
+            writeln!(out, "B|{idx}|{n}")?;
+            // One line per slot per pass: time-major, protocol-minor.
+            while pair_lines.iter().any(|lines| !lines.as_slice().is_empty()) {
+                for line in pair_lines.iter_mut().filter_map(Iterator::next) {
+                    writeln!(out, "{line}")?;
+                }
+            }
+            writeln!(out, "E|{idx}")?;
         }
         out.flush()?;
+        report.merge(&block_report);
     }
     Ok((accs, report))
 }
@@ -1922,26 +1793,42 @@ mod tests {
         }
     }
 
+    /// Kill points in a finished checkpoint, each with the number of pair
+    /// blocks complete before it: every pair block's end (so every block
+    /// boundary and every pair boundary inside a block), five bytes past
+    /// each (mid-line), and a cut inside the last record line.
+    fn kill_points(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let (mut points, mut at, mut complete) = (vec![(0, 0), (1, 0)], 0, 0);
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            at += line.len();
+            if line.starts_with(b"E|") {
+                complete += 1;
+                points.push((at, complete));
+                if at + 5 < bytes.len() {
+                    points.push((at + 5, complete));
+                }
+            }
+        }
+        points.push((bytes.len() - 7, complete - 1));
+        points
+    }
+
     #[test]
     fn killed_and_resumed_checkpoint_is_bit_identical() {
         let net = network(42);
         let pairs = full_mesh_pairs(5); // 20 ordered pairs
-        let cfg = small_cfg(3);
+        let cfg = small_cfg(2);
         let profile = lossy_profile();
         let retry = RetryPolicy::default();
+        let init = |_, _, _| Vec::new();
+        let step = |acc: &mut Vec<Option<f64>>, rec: TracerouteRecord| acc.push(rec.e2e_rtt_ms);
+        // Blocks of 3 pairs: 7 blocks, each split over both threads.
         let run = |path: &std::path::Path| {
-            Campaign::new(cfg.clone())
-                .faults(profile)
-                .retry(retry)
-                .checkpoint(path)
-                .run_traceroute(
-                    &net,
-                    &pairs,
-                    TraceOptions::default(),
-                    |_, _, _| Vec::new(),
-                    |acc: &mut Vec<Option<f64>>, rec| acc.push(rec.e2e_rtt_ms),
-                )
-                .expect("resumable campaign")
+            let opts = |_, _| TraceOptions::default();
+            traceroute_resumable_impl(
+                &net, &pairs, &cfg, opts, &profile, &retry, path, 3, init, step,
+            )
+            .expect("resumable campaign")
         };
 
         let full_path = tmp_path("ckpt_uninterrupted.txt");
@@ -1949,9 +1836,22 @@ mod tests {
         let full_bytes = std::fs::read(&full_path).unwrap();
         assert_eq!(full_report.resumed_pairs, 0);
 
-        // Kill the campaign at several points, including mid-line, and
+        // The file does not depend on the block size: the builder's
+        // default block (all 20 pairs at once) writes the same bytes.
+        let default_path = tmp_path("ckpt_default_block.txt");
+        let (accs, report) = Campaign::new(cfg.clone())
+            .faults(profile)
+            .retry(retry)
+            .checkpoint(&default_path)
+            .run_traceroute(&net, &pairs, TraceOptions::default(), init, step)
+            .unwrap();
+        assert_eq!(std::fs::read(&default_path).unwrap(), full_bytes);
+        assert_eq!((accs, report), (full_accs.clone(), full_report));
+        let _ = std::fs::remove_file(&default_path);
+
+        // Kill the campaign at every pair boundary and mid-line, and
         // resume: the finished file must match the uninterrupted one.
-        for cut in [0usize, 1, full_bytes.len() / 3, full_bytes.len() / 2, full_bytes.len() - 7] {
+        for (cut, complete) in kill_points(&full_bytes) {
             let path = tmp_path(&format!("ckpt_killed_at_{cut}.txt"));
             std::fs::write(&path, &full_bytes[..cut]).unwrap();
             let (accs, report) = run(&path);
@@ -1961,6 +1861,7 @@ mod tests {
                 "kill at byte {cut}: resumed checkpoint must be bit-identical"
             );
             assert_eq!(accs, full_accs, "kill at byte {cut}: accumulators must match");
+            assert_eq!(report.resumed_pairs, complete, "kill at byte {cut}");
             assert_eq!(
                 report.resumed_pairs + (report.offered / (4 * cfg.protocols.len())),
                 pairs.len(),
@@ -1978,6 +1879,95 @@ mod tests {
         let _ = std::fs::remove_file(&full_path);
     }
 
+    /// A panicking `step` under `.checkpoint()` poisons only its pair; the
+    /// file stops before that pair's block, and a clean rerun re-measures
+    /// it and finishes bit-identically.
+    #[test]
+    fn checkpointed_worker_panic_stops_the_file_before_its_pair() {
+        let net = network(42);
+        let pairs = full_mesh_pairs(3); // 6 ordered pairs
+        let bad = 2;
+        // One pair per worker, so the panic poisons exactly one pair.
+        let cfg = CampaignConfig { protocols: vec![Protocol::V4], threads: 6, ..small_cfg(1) };
+        let run = |path: &std::path::Path, fail: bool| {
+            let step = |acc: &mut usize, rec: TracerouteRecord| {
+                assert!(!fail || (rec.src, rec.dst) != pairs[bad], "injected worker failure");
+                *acc += 1;
+            };
+            let campaign = Campaign::new(cfg.clone()).checkpoint(path);
+            campaign
+                .run_traceroute(&net, &pairs, TraceOptions::default(), |_, _, _| 0, step)
+                .unwrap()
+        };
+        let clean_path = tmp_path("ckpt_panic_clean.txt");
+        let (clean, _) = run(&clean_path, false);
+        let clean_bytes = std::fs::read(&clean_path).unwrap();
+
+        let path = tmp_path("ckpt_panic.txt");
+        let (accs, report) = run(&path, true);
+        assert_eq!(report.worker_panics, 1);
+        assert_eq!(report.poisoned_pairs, vec![pairs[bad]]);
+        for (i, (&n, &want)) in accs.iter().zip(&clean).enumerate() {
+            assert_eq!(n, if i == bad { 0 } else { want }, "pair {i}");
+        }
+        let bad_block = clean_bytes.windows(4).position(|w| w == b"B|2|").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), clean_bytes[..bad_block]);
+
+        let (accs, report) = run(&path, false);
+        assert_eq!(accs, clean);
+        assert_eq!((report.resumed_pairs, report.worker_panics), (bad, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), clean_bytes);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&clean_path);
+    }
+
+    /// The count regression for the checkpoint path: over a horizon with
+    /// more availability configs than the oracle's LRU holds, a
+    /// checkpointed run whose pairs fit in one block computes the route
+    /// tables of an in-memory run (a pair-major sweep recomputes every
+    /// table per pair: 8.5× as many here), with identical accumulators
+    /// and report.
+    #[test]
+    fn checkpointed_run_computes_routes_like_in_memory_run() {
+        let pairs = full_mesh_pairs(5);
+        let init = |_, _, _| Vec::new();
+        let step =
+            |acc: &mut Vec<String>, rec: TracerouteRecord| acc.push(traceroute_to_line(&rec));
+        let mut lone_misses = 0;
+        for threads in [1usize, 2] {
+            for profile in [FaultProfile::default(), lossy_profile()] {
+                let run = |path: Option<&std::path::Path>| {
+                    let net = dynamic_network(42); // fresh oracle cache per run
+                    let cfg = CampaignConfig { end: SimTime::from_days(10), ..small_cfg(threads) };
+                    let mut campaign = Campaign::new(cfg).faults(profile);
+                    if let Some(path) = path {
+                        campaign = campaign.checkpoint(path);
+                    }
+                    let (accs, report) = campaign
+                        .run_traceroute(&net, &pairs, TraceOptions::default(), init, step)
+                        .unwrap();
+                    (accs, report, net.oracle().cache_stats())
+                };
+                let (plain, plain_report, plain_stats) = run(None);
+                assert!(plain_stats.evictions > 0, "horizon must overflow the config cache");
+                let path = tmp_path(&format!("ckpt_counts_{threads}_{}.txt", profile.is_quiet()));
+                let (accs, report, stats) = run(Some(&path));
+                let _ = std::fs::remove_file(&path);
+                let what = format!("{threads} thread(s), quiet={}", profile.is_quiet());
+                assert_eq!(accs, plain, "{what}");
+                assert_eq!(report, plain_report, "{what}");
+                if threads == 1 {
+                    assert_eq!(stats.misses, plain_stats.misses, "{what}: route computations");
+                    lone_misses = stats.misses;
+                } else {
+                    // Two workers race on the shared LRU, so two identical
+                    // in-memory runs already differ by a few percent.
+                    assert!(stats.misses < 2 * lone_misses, "{what}: {stats:?}");
+                }
+            }
+        }
+    }
+
     // -- the builder front door --------------------------------------------
 
     fn timeline_bits(tls: &[PingTimeline]) -> Vec<Vec<u32>> {
@@ -1986,41 +1976,47 @@ mod tests {
 
     /// Ping campaigns checkpoint through serialized sink state: a
     /// checkpointed run matches the in-memory one, and a run killed at any
-    /// byte resumes to a bit-identical file and bit-identical timelines.
+    /// pair boundary or mid-line resumes to a bit-identical file and
+    /// bit-identical timelines.
     #[test]
     fn ping_checkpoint_resumes_bit_identically() {
         let net = network(42);
-        let pairs = full_mesh_pairs(4);
+        let pairs = full_mesh_pairs(4); // 12 ordered pairs
         let cfg = small_cfg(2);
         let profile = lossy_profile();
-        let campaign =
-            |path: &std::path::Path| Campaign::new(cfg.clone()).faults(profile).checkpoint(path);
+        let retry = RetryPolicy::default();
+        let sink = crate::stream::TimelineSink::for_config(&cfg);
+        // Blocks of 5 pairs: 3 blocks, each split over both threads.
+        let run = |path: &std::path::Path| {
+            ping_sink_resumable_impl(&net, &pairs, &cfg, &profile, &retry, path, 5, &sink).unwrap()
+        };
 
         let (memory, memory_report) =
             Campaign::new(cfg.clone()).faults(profile).run_ping(&net, &pairs).unwrap();
 
         let full_path = tmp_path("ping_ckpt_full.txt");
-        let (full, full_report) = campaign(&full_path).run_ping(&net, &pairs).unwrap();
+        let campaign = Campaign::new(cfg.clone()).faults(profile);
+        let (full, full_report) = campaign.checkpoint(&full_path).run_ping(&net, &pairs).unwrap();
         let full_bytes = std::fs::read(&full_path).unwrap();
         assert_eq!(timeline_bits(&full), timeline_bits(&memory));
         assert_eq!(full_report, memory_report);
 
-        for cut in [0usize, 1, full_bytes.len() / 3, full_bytes.len() - 5] {
+        for (cut, complete) in kill_points(&full_bytes) {
             let path = tmp_path(&format!("ping_ckpt_cut_{cut}.txt"));
             std::fs::write(&path, &full_bytes[..cut]).unwrap();
-            let (resumed, report) = campaign(&path).run_ping(&net, &pairs).unwrap();
+            let (resumed, report) = run(&path);
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 full_bytes,
                 "kill at byte {cut}: resumed checkpoint must be bit-identical"
             );
             assert_eq!(timeline_bits(&resumed), timeline_bits(&memory));
-            assert!(report.resumed_pairs <= pairs.len());
+            assert_eq!(report.resumed_pairs, complete, "kill at byte {cut}");
             let _ = std::fs::remove_file(&path);
         }
 
         // Resuming a finished checkpoint re-measures nothing.
-        let (replayed, report) = campaign(&full_path).run_ping(&net, &pairs).unwrap();
+        let (replayed, report) = run(&full_path);
         assert_eq!(timeline_bits(&replayed), timeline_bits(&memory));
         assert_eq!(report.resumed_pairs, pairs.len());
         assert_eq!(report.offered, 0);

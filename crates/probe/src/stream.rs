@@ -13,9 +13,8 @@
 //!   streamed filled-series PSD) that `s2s-core`'s streamed congestion
 //!   classification consumes,
 //! * [`TimelineSink`] → [`PingTimeline`] — the materializing sink; what
-//!   [`Campaign::run_ping`](crate::Campaign::run_ping) folds through when
-//!   a checkpoint is set, making ping campaigns resumable like traceroute
-//!   ones.
+//!   [`Campaign::run_ping`](crate::Campaign::run_ping) folds through, and
+//!   what makes ping campaigns resumable like traceroute ones.
 //!
 //! Sink state is single-writer: the campaign partitions pairs across
 //! workers and every (pair, protocol) state sees only its own samples, in
@@ -355,9 +354,9 @@ impl StreamSink for PairProfileSink {
 /// The materializing sink: folds every slot into a dense [`PingTimeline`]
 /// (lost slots as `NaN`), exactly what the in-memory ping runner builds.
 ///
-/// Exists so ping campaigns can checkpoint/resume through the sink path —
-/// [`Campaign::run_ping`](crate::Campaign::run_ping) with `.checkpoint()`
-/// folds through this sink. Its `save` format keeps the raw f32 bits
+/// [`Campaign::run_ping`](crate::Campaign::run_ping) folds through this
+/// sink, so ping campaigns checkpoint/resume through the sink path. Its
+/// `save` format keeps the raw f32 bits
 /// (`K|src|dst|proto|start|interval|hex;hex;…`), unlike the human-readable
 /// dataset line format which rounds; checkpoint resume must be
 /// bit-identical.
