@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use s2s_bench::{Scale, Scenario};
-use s2s_routing::policy::{compute_routes, AllUp};
+use s2s_routing::policy::{compute_routes, compute_routes_masked, AllUp, EdgeIndex, EdgeMask};
 use s2s_stats::{diurnal_psd_ratio, edit_distance, GaussianKde, HeatMap};
 use s2s_topology::{build_topology, TopologyParams};
 use s2s_types::{ClusterId, Protocol, SimTime};
@@ -22,6 +22,18 @@ fn bench_routing(c: &mut Criterion) {
     let topo = build_topology(&TopologyParams::default());
     c.bench_function("routing/compute_routes_one_dst", |b| {
         b.iter(|| compute_routes(black_box(&topo.as_adj), black_box(3), &AllUp, 0))
+    });
+    // The oracle's form: availability as a bitmask over dense edge ids,
+    // here with every seventh edge blocked.
+    let edges = EdgeIndex::new(&topo.as_adj);
+    let mut blocked = EdgeMask::empty(&edges);
+    for id in (0..edges.len()).step_by(7) {
+        blocked.insert(id);
+    }
+    c.bench_function("routing/compute_routes_masked", |b| {
+        b.iter(|| {
+            compute_routes_masked(black_box(&topo.as_adj), &edges, black_box(&blocked), 3, 0)
+        })
     });
     let scenario = Scenario::build(Scale::smoke());
     c.bench_function("routing/router_path_expansion", |b| {

@@ -533,11 +533,12 @@ fn run_main(run: cli::RunArgs) {
         let cs = scenario.oracle.cache_stats();
         println!(
             "routing: {} availability epochs, {} epoch configs derived, \
-             table cache {} hits / {} misses / {} evictions\n",
+             table cache {} hits / {} misses / {} reused / {} evictions\n",
             scenario.oracle.dynamics().epoch_count(),
             cs.epoch_configs,
             cs.hits,
             cs.misses,
+            cs.reused,
             cs.evictions
         );
         Some(data)

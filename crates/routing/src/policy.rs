@@ -14,6 +14,12 @@
 //! Export rules are enforced by construction: customer routes propagate
 //!    everywhere; peer/provider routes propagate only to customers. The
 //! resulting per-AS next-hop tables are guaranteed valley-free.
+//!
+//! Availability comes either as an [`EdgeAvailability`] predicate
+//! ([`compute_routes`]) or, as the oracle keeps it, as an [`EdgeMask`] of
+//! blocked edges over an [`EdgeIndex`] ([`compute_routes_masked`]); both
+//! run one core. [`table_still_exact`] decides, without recomputing,
+//! whether a table stays exact when the blocked set changes.
 
 use s2s_types::rel::AsRel;
 
@@ -51,9 +57,94 @@ impl<F: Fn(usize, usize) -> bool> EdgeAvailability for F {
     }
 }
 
+/// Dense ids for the edges of an AS adjacency list, so an availability
+/// configuration can be a bitmask instead of a set of AS pairs.
+///
+/// `id(a, j)` names the edge between AS `a` and its `j`-th neighbor
+/// `adj[a][j].0`; both directions of an edge share one id. The rows are
+/// parallel to `adj` and in the same order, so a route computation that
+/// walks them sees the same neighbor sequence as one that walks `adj`.
+#[derive(Debug)]
+pub struct EdgeIndex {
+    /// `ids[a][j]`: the id of the edge `adj[a][j]`.
+    ids: Vec<Vec<u32>>,
+    /// Per id: the lower endpoint and the edge's slot in its row.
+    ends: Vec<(u32, u32)>,
+}
+
+impl EdgeIndex {
+    /// Numbers the edges of `adj` (symmetric, as `Topology::as_adj` is) in
+    /// order of their lower endpoint, in O(edges).
+    pub fn new(adj: &[Vec<(usize, AsRel)>]) -> Self {
+        let mut by_pair = std::collections::HashMap::new();
+        let mut ends = Vec::new();
+        let ids = adj
+            .iter()
+            .enumerate()
+            .map(|(a, row)| {
+                let ids = row.iter().enumerate().map(|(j, &(b, _))| {
+                    let next = ends.len() as u32;
+                    *by_pair.entry((a.min(b), a.max(b))).or_insert_with(|| {
+                        ends.push((a as u32, j as u32));
+                        next
+                    })
+                });
+                ids.collect()
+            })
+            .collect();
+        EdgeIndex { ids, ends }
+    }
+
+    /// The id of the edge `adj[a][j]`.
+    #[inline]
+    pub fn id(&self, a: usize, j: usize) -> usize {
+        self.ids[a][j] as usize
+    }
+
+    /// The id of the edge between `a` and `b`, if they are adjacent.
+    pub fn between(&self, adj: &[Vec<(usize, AsRel)>], a: usize, b: usize) -> Option<usize> {
+        adj[a].iter().position(|&(n, _)| n == b).map(|j| self.id(a, j))
+    }
+
+    /// Number of edges.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the graph has no edges.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
+/// A set of edge ids (of one [`EdgeIndex`]) as a bitmask.
+#[derive(Clone, Debug)]
+pub struct EdgeMask {
+    words: Vec<u64>,
+}
+
+impl EdgeMask {
+    /// The empty set over `edges`.
+    pub fn empty(edges: &EdgeIndex) -> Self {
+        EdgeMask { words: vec![0; edges.len().div_ceil(64)] }
+    }
+
+    /// Adds edge `id`.
+    pub fn insert(&mut self, id: usize) {
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    /// True when edge `id` is in the set.
+    #[inline]
+    pub fn contains(&self, id: usize) -> bool {
+        self.words[id / 64] >> (id % 64) & 1 == 1
+    }
+}
+
 /// Deterministic tie-break score; lower wins. Mixes destination, chooser,
 /// candidate and a salt (protocol) so preferences look arbitrary-but-fixed,
-/// like real local-pref policy.
+/// like real local-pref policy. Injective in `candidate` for a fixed
+/// (salt, dst, chooser), so two candidates never tie.
 fn tiebreak(dst: usize, chooser: usize, candidate: usize, salt: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ salt;
     for v in [dst as u64, chooser as u64, candidate as u64] {
@@ -72,10 +163,35 @@ fn tiebreak(dst: usize, chooser: usize, candidate: usize, salt: u64) -> u64 {
 ///
 /// Returns a vector indexed by AS: `None` for unreachable ASes, and the
 /// destination itself holds `RouteEntry { next: dst, rank: 0, len: 0 }`.
+/// An AS whose best route would be longer than `u8::MAX` hops stays
+/// unrouted.
 pub fn compute_routes(
     adj: &[Vec<(usize, AsRel)>],
     dst: usize,
     avail: &impl EdgeAvailability,
+    salt: u64,
+) -> Vec<Option<RouteEntry>> {
+    routes_with(adj, dst, |a, j| avail.edge_up(a, adj[a][j].0), salt)
+}
+
+/// [`compute_routes`] with availability given as the edges of `edges`
+/// that are `blocked` — the form the oracle keeps per configuration.
+pub fn compute_routes_masked(
+    adj: &[Vec<(usize, AsRel)>],
+    edges: &EdgeIndex,
+    blocked: &EdgeMask,
+    dst: usize,
+    salt: u64,
+) -> Vec<Option<RouteEntry>> {
+    routes_with(adj, dst, |a, j| !blocked.contains(edges.id(a, j)), salt)
+}
+
+/// The route computation behind both entry points; `up(a, j)` tells
+/// whether the edge `adj[a][j]` is usable.
+fn routes_with(
+    adj: &[Vec<(usize, AsRel)>],
+    dst: usize,
+    up: impl Fn(usize, usize) -> bool,
     salt: u64,
 ) -> Vec<Option<RouteEntry>> {
     let n = adj.len();
@@ -94,13 +210,10 @@ pub fn compute_routes(
         // tie-break fairly rather than first-come-first-served.
         let mut candidates: Vec<(usize, usize)> = Vec::new(); // (x, via customer c)
         for &c in &frontier {
-            for &(x, rel_c_to_x) in &adj[c] {
+            for (j, &(x, rel_c_to_x)) in adj[c].iter().enumerate() {
                 // x learns from c when c exports upward: c regards x as its
                 // Provider, i.e. x regards c as Customer.
-                if rel_c_to_x == AsRel::Provider
-                    && routes[x].is_none()
-                    && avail.edge_up(c, x)
-                {
+                if rel_c_to_x == AsRel::Provider && routes[x].is_none() && up(c, j) {
                     candidates.push((x, c));
                 }
             }
@@ -124,12 +237,12 @@ pub fn compute_routes(
         if routes[x].is_some() {
             continue;
         }
-        for &(p, rel_x_to_p) in &adj[x] {
-            if rel_x_to_p != AsRel::Peer || !avail.edge_up(x, p) {
+        for (j, &(p, rel_x_to_p)) in adj[x].iter().enumerate() {
+            if rel_x_to_p != AsRel::Peer || !up(x, j) {
                 continue;
             }
             if let Some(r) = routes[p] {
-                if r.rank == 0 {
+                if r.rank == 0 && r.len < u8::MAX {
                     peer_candidates.push((x, p, r.len + 1));
                 }
             }
@@ -167,22 +280,21 @@ pub fn compute_routes(
         }
     }
     let mut heap = BinaryHeap::new();
-    for x in 0..n {
-        if let Some(r) = routes[x] {
-            // x exports its selected route to its customers.
-            for &(c, rel_x_to_c) in &adj[x] {
-                if rel_x_to_c == AsRel::Customer
-                    && routes[c].is_none()
-                    && avail.edge_up(x, c)
-                {
-                    heap.push(Item {
-                        len: r.len + 1,
-                        tb: tiebreak(dst, c, x, salt),
-                        x: c,
-                        via: x,
-                    });
+    // x (routed, `len` hops out) exports its route to its customers.
+    let export_down =
+        |heap: &mut BinaryHeap<Item>, routes: &[Option<RouteEntry>], x: usize, len: u8| {
+            if len == u8::MAX {
+                return;
+            }
+            for (j, &(c, rel_x_to_c)) in adj[x].iter().enumerate() {
+                if rel_x_to_c == AsRel::Customer && routes[c].is_none() && up(x, j) {
+                    heap.push(Item { len: len + 1, tb: tiebreak(dst, c, x, salt), x: c, via: x });
                 }
             }
+        };
+    for x in 0..n {
+        if let Some(r) = routes[x] {
+            export_down(&mut heap, &routes, x, r.len);
         }
     }
     while let Some(Item { len, x, via, .. }) = heap.pop() {
@@ -190,20 +302,89 @@ pub fn compute_routes(
             continue;
         }
         routes[x] = Some(RouteEntry { next: via as u32, rank: 2, len });
-        for &(c, rel_x_to_c) in &adj[x] {
-            if rel_x_to_c == AsRel::Customer && routes[c].is_none() && avail.edge_up(x, c)
-            {
-                heap.push(Item {
-                    len: len + 1,
-                    tb: tiebreak(dst, c, x, salt),
-                    x: c,
-                    via: x,
-                });
-            }
-        }
+        export_down(&mut heap, &routes, x, len);
     }
 
     routes
+}
+
+/// True when `routes` — computed toward `dst` with tie-break `salt` while
+/// the edges in `was` were blocked — is exactly what [`compute_routes`]
+/// returns while the edges in `now` are blocked. Costs O(edges / 64) plus
+/// O(1) per edge that changed state.
+///
+/// The table is a fixpoint: every AS holds the best (rank, len, tie-break)
+/// offer among its usable neighbors' exports, and with positive path
+/// lengths that fixpoint is unique. So the table carries over exactly when
+/// every AS's best offer survives the change:
+///
+/// * a newly blocked edge must not be a selected next hop at either end —
+///   losing a non-selected offer leaves every best offer standing;
+/// * a newly usable edge must not carry an offer that beats the current
+///   route at either end: a customer's rank-0 route exported up (rank 0),
+///   a peer's rank-0 route exported across (rank 1), or a provider's route
+///   exported down (rank 2).
+pub fn table_still_exact(
+    adj: &[Vec<(usize, AsRel)>],
+    edges: &EdgeIndex,
+    routes: &[Option<RouteEntry>],
+    was: &EdgeMask,
+    now: &EdgeMask,
+    dst: usize,
+    salt: u64,
+) -> bool {
+    for (w, (&old, &new)) in was.words.iter().zip(&now.words).enumerate() {
+        let mut changed = old ^ new;
+        while changed != 0 {
+            let bit = changed.trailing_zeros() as usize;
+            changed &= changed - 1;
+            let (a, j) = edges.ends[w * 64 + bit];
+            let (a, j) = (a as usize, j as usize);
+            let (b, rel_a_to_b) = adj[a][j];
+            let intact = if new >> bit & 1 == 1 {
+                !selects(routes, a, b) && !selects(routes, b, a)
+            } else {
+                !offer_wins(routes, a, b, rel_a_to_b, dst, salt)
+                    && !offer_wins(routes, b, a, rel_a_to_b.inverse(), dst, salt)
+            };
+            if !intact {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// True when `x`'s selected next hop is `y`.
+fn selects(routes: &[Option<RouteEntry>], x: usize, y: usize) -> bool {
+    routes[x].is_some_and(|r| r.next as usize == y)
+}
+
+/// True when neighbor `y` (`x` regards it as `rel_x_to_y`) exports to `x`
+/// a route `x` would prefer over its current one.
+fn offer_wins(
+    routes: &[Option<RouteEntry>],
+    x: usize,
+    y: usize,
+    rel_x_to_y: AsRel,
+    dst: usize,
+    salt: u64,
+) -> bool {
+    let Some(ry) = routes[y] else { return false };
+    let rank = match rel_x_to_y {
+        AsRel::Customer => 0,
+        AsRel::Peer => 1,
+        AsRel::Provider => 2,
+    };
+    // Customers and peers export only their customer routes.
+    if x == dst || ry.len == u8::MAX || (rank < 2 && ry.rank != 0) {
+        return false;
+    }
+    let offer = (rank, ry.len + 1, tiebreak(dst, x, y, salt));
+    match routes[x] {
+        None => true,
+        Some(rx) => offer < (rx.rank, rx.len, tiebreak(dst, x, rx.next as usize, salt)),
+    }
 }
 
 /// Reconstructs the AS-index path from `src` to `dst` by following selected
@@ -430,5 +611,177 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every routed AS's length counts the hops of its reconstructed path.
+    fn assert_lengths_consistent(r: &[Option<RouteEntry>], dst: usize) {
+        for (src, e) in r.iter().enumerate() {
+            if let Some(e) = e {
+                let path = reconstruct_path(r, src, dst).expect("routed AS reaches dst");
+                assert_eq!(usize::from(e.len), path.len() - 1, "AS {src}");
+            }
+        }
+    }
+
+    /// A 300-AS provider chain (AS i's provider is AS i + 1), optionally
+    /// with the edge between `peer_at` and `peer_at + 1` a peering instead.
+    fn long_chain(peer_at: Option<usize>) -> Vec<Vec<(usize, AsRel)>> {
+        let edges: Vec<_> = (0..299)
+            .map(|i| match peer_at {
+                Some(p) if i == p => (i, i + 1, Peer),
+                // Above the peering the chain runs downhill: i + 1 is i's
+                // customer, so routes from below cross the top once.
+                Some(p) if i > p => (i, i + 1, Customer),
+                _ => (i, i + 1, Provider),
+            })
+            .collect();
+        graph(300, &edges)
+    }
+
+    #[test]
+    fn long_chain_with_destination_at_the_top_stops_at_255_hops() {
+        // Provider routes chain down from AS 299: AS 299 - k is k hops out,
+        // and the ASes past 255 hops stay unrouted instead of wrapping.
+        let r = compute_routes(&long_chain(None), 299, &AllUp, 0);
+        for (i, e) in r.iter().enumerate() {
+            let hops = 299 - i;
+            assert_eq!(e.map(|e| usize::from(e.len)), (hops <= 255).then_some(hops), "AS {i}");
+        }
+        assert_lengths_consistent(&r, 299);
+    }
+
+    #[test]
+    fn long_chain_with_destination_at_the_bottom_stops_at_255_hops() {
+        let r = compute_routes(&long_chain(None), 0, &AllUp, 0);
+        for (i, e) in r.iter().enumerate() {
+            assert_eq!(e.is_some(), i <= 255, "AS {i}");
+        }
+        assert_lengths_consistent(&r, 0);
+    }
+
+    #[test]
+    fn long_chain_across_a_peering_stops_at_255_hops() {
+        // The peering early puts the cap in the provider phase; at 255 the
+        // peer route itself would be hop 256.
+        for peer_at in [149, 254, 255] {
+            let r = compute_routes(&long_chain(Some(peer_at)), 0, &AllUp, 0);
+            for (i, e) in r.iter().enumerate() {
+                assert_eq!(e.is_some(), i <= 255, "peering at {peer_at}, AS {i}");
+            }
+            if peer_at < 255 {
+                assert_eq!(r[peer_at + 1].unwrap().rank, 1);
+            }
+            assert_lengths_consistent(&r, 0);
+        }
+    }
+
+    #[test]
+    fn masked_and_predicate_forms_agree() {
+        use s2s_topology::{build_topology, TopologyParams};
+        let t = build_topology(&TopologyParams::tiny(4));
+        let edges = EdgeIndex::new(&t.as_adj);
+        let mut blocked = EdgeMask::empty(&edges);
+        for id in (0..edges.len()).step_by(5) {
+            blocked.insert(id);
+        }
+        let avail = |a: usize, b: usize| {
+            !blocked.contains(edges.between(&t.as_adj, a, b).expect("adjacent"))
+        };
+        for dst in 0..t.as_adj.len() {
+            assert_eq!(
+                compute_routes_masked(&t.as_adj, &edges, &blocked, dst, 3),
+                compute_routes(&t.as_adj, dst, &avail, 3),
+                "dst {dst}"
+            );
+        }
+    }
+
+    /// A random small graph with every relationship kind (provider cycles
+    /// and valleys included: the computation is defined on any graph).
+    fn random_graph(rng: &mut rand::rngs::StdRng) -> Vec<Vec<(usize, AsRel)>> {
+        use rand::Rng;
+        let n = rng.random_range(3usize..12);
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.random_bool(0.35) {
+                    edges.push((a, b, [Customer, Peer, Provider][rng.random_range(0usize..3)]));
+                }
+            }
+        }
+        graph(n, &edges)
+    }
+
+    /// One seeded round of reuse trials: random configurations C and C′
+    /// (C′ flips a few edges of C, or is drawn afresh) on a random graph.
+    /// Whenever `table_still_exact` accepts the C table for C′, that table
+    /// must equal the C′ computation. Returns (accepted, rejected).
+    fn reuse_trials(seed: u64) -> (usize, usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let adj = random_graph(&mut rng);
+        let edges = EdgeIndex::new(&adj);
+        let (mut accepted, mut rejected) = (0, 0);
+        if edges.is_empty() {
+            return (accepted, rejected);
+        }
+        for _ in 0..16 {
+            let mut was = EdgeMask::empty(&edges);
+            for id in 0..edges.len() {
+                if rng.random_bool(0.25) {
+                    was.insert(id);
+                }
+            }
+            let now = if rng.random_bool(0.8) {
+                let mut now = EdgeMask::empty(&edges);
+                let flips: Vec<usize> = (0..rng.random_range(1usize..3))
+                    .map(|_| rng.random_range(0..edges.len()))
+                    .collect();
+                for id in 0..edges.len() {
+                    if was.contains(id) != flips.contains(&id) {
+                        now.insert(id);
+                    }
+                }
+                now
+            } else {
+                let mut now = EdgeMask::empty(&edges);
+                for id in 0..edges.len() {
+                    if rng.random_bool(0.25) {
+                        now.insert(id);
+                    }
+                }
+                now
+            };
+            for dst in 0..adj.len() {
+                let salt = rng.random_range(0u64..4);
+                let old = compute_routes_masked(&adj, &edges, &was, dst, salt);
+                if table_still_exact(&adj, &edges, &old, &was, &now, dst, salt) {
+                    let fresh = compute_routes_masked(&adj, &edges, &now, dst, salt);
+                    assert_eq!(old, fresh, "seed {seed}, dst {dst}: reused a stale table");
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        (accepted, rejected)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_reuse_check_is_exact(seed: u64) {
+            reuse_trials(seed);
+        }
+    }
+
+    #[test]
+    fn reuse_check_accepts_a_share_of_changes() {
+        // The exactness property above would pass vacuously if the check
+        // rejected everything; pin that it accepts, and rejects, real shares.
+        let (accepted, rejected) =
+            (0..64).map(reuse_trials).fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        let share = accepted as f64 / (accepted + rejected) as f64;
+        assert!((0.2..0.95).contains(&share), "{accepted} accepted, {rejected} rejected");
     }
 }
