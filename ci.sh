@@ -38,9 +38,11 @@ echo "==> small-scale reproduce smoke run (writes metrics.json)"
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --metrics-json metrics.json |
     tee reproduce_smoke.txt
-# The routing diagnostic line must report table reuse, so the oracle's
-# `reused` counter stays wired through to the output.
+# The routing diagnostic line must report table reuse and the path memo,
+# so the oracle's `reused` and `path_{hits,builds}` counters stay wired
+# through to the output.
 grep -qE '^routing: .* [0-9]+ reused /' reproduce_smoke.txt
+grep -qE '^routing: .*path memo [0-9]+ hits / [0-9]+ builds' reproduce_smoke.txt
 
 echo "==> fabric crash-matrix smoke: 4 workers, kill+crash schedule, byte-identity"
 # The same experiment sharded over 4 worker subprocesses, with a seeded

@@ -36,7 +36,23 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
     let scenario = Scenario::build(Scale::smoke());
+    // A real expansion every time: the path memo is bypassed.
     c.bench_function("routing/router_path_expansion", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            scenario.oracle.router_path_uncached(
+                ClusterId::new((i % 20) as u32),
+                ClusterId::new(((i + 7) % 20) as u32),
+                Protocol::V4,
+                SimTime::from_hours((i % 400) as u32),
+                i,
+            )
+        })
+    });
+    // What a probe pays once its pair's path is memoized: same pairs and
+    // instant, one flow per pair, so every query after the first is a hit.
+    c.bench_function("routing/router_path_memo_hit", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -44,8 +60,8 @@ fn bench_routing(c: &mut Criterion) {
                 ClusterId::new((i % 20) as u32),
                 ClusterId::new(((i + 7) % 20) as u32),
                 Protocol::V4,
-                SimTime::from_hours((i % 400) as u32),
-                i,
+                SimTime::from_hours(30),
+                i % 20,
             )
         })
     });

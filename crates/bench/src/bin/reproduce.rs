@@ -533,13 +533,16 @@ fn run_main(run: cli::RunArgs) {
         let cs = scenario.oracle.cache_stats();
         println!(
             "routing: {} availability epochs, {} epoch configs derived, \
-             table cache {} hits / {} misses / {} reused / {} evictions\n",
+             table cache {} hits / {} misses / {} reused / {} evictions, \
+             path memo {} hits / {} builds\n",
             scenario.oracle.dynamics().epoch_count(),
             cs.epoch_configs,
             cs.hits,
             cs.misses,
             cs.reused,
-            cs.evictions
+            cs.evictions,
+            cs.path_hits,
+            cs.path_builds
         );
         Some(data)
     } else {

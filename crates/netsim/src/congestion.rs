@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 use s2s_topology::{LinkKind, Topology};
 use s2s_types::{LinkId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Parameters of the congestion process.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -115,7 +114,9 @@ impl LinkProfile {
 /// The set of congested links and their profiles.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct CongestionModel {
-    profiles: HashMap<u32, LinkProfile>,
+    /// Indexed by link id, so the per-hop lookup on every probe is one
+    /// bounds-checked load; links past the end are uncongested.
+    profiles: Vec<Option<LinkProfile>>,
 }
 
 impl CongestionModel {
@@ -124,17 +125,27 @@ impl CongestionModel {
         CongestionModel::default()
     }
 
-    /// A model with explicit profiles (tests).
+    /// A model with explicit profiles (tests). A link listed twice keeps
+    /// its last profile.
     pub fn from_profiles(profiles: Vec<(LinkId, LinkProfile)>) -> Self {
-        CongestionModel {
-            profiles: profiles.into_iter().map(|(l, p)| (l.0, p)).collect(),
+        let mut model = CongestionModel::default();
+        for (l, p) in profiles {
+            model.set(l, p);
         }
+        model
+    }
+
+    fn set(&mut self, link: LinkId, profile: LinkProfile) {
+        if self.profiles.len() <= link.index() {
+            self.profiles.resize(link.index() + 1, None);
+        }
+        self.profiles[link.index()] = Some(profile);
     }
 
     /// Seeds congestion over a topology.
     pub fn generate(topo: &Topology, params: &CongestionParams) -> Self {
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut profiles = HashMap::new();
+        let mut model = CongestionModel::default();
         // CDN-managed cluster access links never congest (the paper's
         // platform measures the core, and its own racks are provisioned).
         let cluster_routers: std::collections::HashSet<_> =
@@ -202,8 +213,8 @@ impl CongestionModel {
             } else {
                 0.35 + 0.45 * rng.random::<f64>()
             };
-            profiles.insert(
-                li as u32,
+            model.set(
+                LinkId::from(li),
                 LinkProfile {
                     amplitude_ms: amplitude,
                     peak_local_hour: peak,
@@ -216,7 +227,7 @@ impl CongestionModel {
                 },
             );
         }
-        CongestionModel { profiles }
+        model
     }
 
     /// Extra one-way delay for a packet crossing `link` *toward* router
@@ -229,7 +240,7 @@ impl CongestionModel {
         proto: s2s_types::Protocol,
         t: SimTime,
     ) -> f64 {
-        match self.profiles.get(&link.0) {
+        match self.profile(link) {
             Some(p) if p.toward == to.0 => match proto {
                 s2s_types::Protocol::V4 => p.delay_ms(t),
                 s2s_types::Protocol::V6 => p.delay_ms(t) * p.v6_factor,
@@ -241,24 +252,25 @@ impl CongestionModel {
     /// Direction-agnostic delay (the congested direction's value) — used by
     /// tests and calibration.
     pub fn delay_ms(&self, link: LinkId, t: SimTime) -> f64 {
-        self.profiles.get(&link.0).map(|p| p.delay_ms(t)).unwrap_or(0.0)
+        self.profile(link).map(|p| p.delay_ms(t)).unwrap_or(0.0)
     }
 
     /// Whether a link has a profile at all.
     pub fn is_congested_link(&self, link: LinkId) -> bool {
-        self.profiles.contains_key(&link.0)
+        self.profile(link).is_some()
     }
 
     /// All congested links (ground truth for validating §5.2 localization).
     pub fn congested_links(&self) -> Vec<LinkId> {
-        let mut v: Vec<LinkId> = self.profiles.keys().map(|&l| LinkId(l)).collect();
-        v.sort_unstable();
-        v
+        (0..self.profiles.len())
+            .filter(|&l| self.profiles[l].is_some())
+            .map(LinkId::from)
+            .collect()
     }
 
     /// The profile of a link, if congested.
     pub fn profile(&self, link: LinkId) -> Option<&LinkProfile> {
-        self.profiles.get(&link.0)
+        self.profiles.get(link.index())?.as_ref()
     }
 }
 

@@ -162,7 +162,8 @@ impl Network {
     /// Sends one TTL-limited probe and reports what comes back.
     ///
     /// `flow` selects the ECMP path; `probe_salt` distinguishes retries of
-    /// the same probe (loss is per-transmission, not per-hop).
+    /// the same probe (loss is per-transmission, not per-hop). A TTL-0
+    /// probe never leaves the host: it is [`Lost`](ProbeReply::Lost).
     #[allow(clippy::too_many_arguments)] // one knob per probe-header field
     pub fn probe(
         &self,
@@ -174,20 +175,25 @@ impl Network {
         flow: u64,
         probe_salt: u64,
     ) -> ProbeReply {
-        let Some(fwd) = self.oracle.router_path(src, dst, proto, t, flow) else {
-            if s2s_obs::enabled() {
-                self.probes.inc();
-                self.probes_unreachable.inc();
+        let reply = if ttl == 0 {
+            ProbeReply::Lost
+        } else {
+            match self.oracle.router_path(src, dst, proto, t, flow) {
+                Some(fwd) => {
+                    self.probe_on_uncounted(&fwd, src, dst, proto, t, ttl, flow, probe_salt)
+                }
+                None => ProbeReply::Unreachable,
             }
-            return ProbeReply::Unreachable;
         };
-        self.probe_on(&fwd, src, dst, proto, t, ttl, flow, probe_salt)
+        self.counted(reply)
     }
 
     /// The forward router path a probe with this header would take —
     /// constant within a routing epoch and per flow, so callers sending
     /// many probes over one flow (Paris traceroute) can resolve it once
-    /// and reuse it via [`probe_on`](Self::probe_on).
+    /// and reuse it via [`probe_on`](Self::probe_on). The path is shared
+    /// with the oracle's per-pair memo ([`RouteOracle::router_path`]), so
+    /// resolving it again costs a lookup, not an expansion.
     pub fn forward_path(
         &self,
         src: ClusterId,
@@ -195,7 +201,7 @@ impl Network {
         proto: Protocol,
         t: SimTime,
         flow: u64,
-    ) -> Option<RouterPath> {
+    ) -> Option<Arc<RouterPath>> {
         self.oracle.router_path(src, dst, proto, t, flow)
     }
 
@@ -214,7 +220,12 @@ impl Network {
         flow: u64,
         probe_salt: u64,
     ) -> ProbeReply {
-        let reply = self.probe_on_uncounted(fwd, src, dst, proto, t, ttl, flow, probe_salt);
+        self.counted(self.probe_on_uncounted(fwd, src, dst, proto, t, ttl, flow, probe_salt))
+    }
+
+    /// Counts one sent probe by its reply (only while a global registry
+    /// is installed) and passes the reply through.
+    fn counted(&self, reply: ProbeReply) -> ProbeReply {
         if s2s_obs::enabled() {
             self.probes.inc();
             match reply {
@@ -240,6 +251,9 @@ impl Network {
         flow: u64,
         probe_salt: u64,
     ) -> ProbeReply {
+        if ttl == 0 {
+            return ProbeReply::Lost;
+        }
         let topo = self.oracle.topology();
         let k = noise::key(&[
             src.0 as u64,
@@ -255,17 +269,14 @@ impl Network {
         }
 
         // Visible hops consume TTL; hidden (MPLS interior) hops do not.
-        let visible: Vec<usize> = fwd
+        let expired = fwd
             .hops
             .iter()
             .enumerate()
             .filter(|(_, h)| !h.hidden)
-            .map(|(i, _)| i)
-            .collect();
+            .nth(usize::from(ttl) - 1);
 
-        if (ttl as usize) <= visible.len() {
-            let hop_idx = visible[ttl as usize - 1];
-            let hop = &fwd.hops[hop_idx];
+        if let Some((hop_idx, hop)) = expired {
             let router = &topo.routers[hop.router.index()];
             let responsive = match proto {
                 Protocol::V4 => router.responsive_v4,
@@ -762,6 +773,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ttl_zero_probe_is_lost() {
+        // Regression: TTL 0 indexed the visible-hop list at -1 and panicked.
+        // (Its counting is covered by `tests/probe_counting.rs`, which owns
+        // the process-wide registry.)
+        let net = quiet_network(101);
+        let (src, dst) = (ClusterId::new(0), ClusterId::new(3));
+        let fwd = net.forward_path(src, dst, Protocol::V4, SimTime::T0, 1).expect("reachable");
+        assert_eq!(net.probe(src, dst, Protocol::V4, SimTime::T0, 0, 1, 0), ProbeReply::Lost);
+        let on = net.probe_on(&fwd, src, dst, Protocol::V4, SimTime::T0, 0, 1, 0);
+        assert_eq!(on, ProbeReply::Lost);
+        assert!(matches!(
+            net.probe(src, dst, Protocol::V4, SimTime::T0, 1, 1, 0),
+            ProbeReply::TimeExceeded { .. }
+        ));
     }
 
     #[test]

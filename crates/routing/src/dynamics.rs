@@ -260,18 +260,7 @@ impl Dynamics {
         // Merge overlapping intervals per link (the two processes can
         // overlap each other).
         for eps in &mut episodes {
-            if eps.len() < 2 {
-                continue;
-            }
-            eps.sort_unstable();
-            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(eps.len());
-            for &(s, e) in eps.iter() {
-                match merged.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => merged.push((s, e)),
-                }
-            }
-            *eps = merged;
+            normalize_episodes(eps);
         }
         Dynamics { episodes, horizon: params.horizon, epochs: OnceLock::new() }
     }
@@ -285,7 +274,10 @@ impl Dynamics {
         }
     }
 
-    /// A dynamics object with explicit episodes (tests).
+    /// A dynamics object with explicit episodes (tests). Each episode
+    /// `(link, start, end)` takes the link down over `[start, end)`;
+    /// empty or inverted episodes are dropped and overlapping or touching
+    /// ones merged, as [`generate`](Self::generate) does.
     pub fn from_episodes(
         n_links: usize,
         eps: Vec<(LinkId, u32, u32)>,
@@ -296,7 +288,7 @@ impl Dynamics {
             episodes[l.index()].push((s, e));
         }
         for v in &mut episodes {
-            v.sort_unstable();
+            normalize_episodes(v);
         }
         Dynamics { episodes, horizon, epochs: OnceLock::new() }
     }
@@ -317,6 +309,24 @@ impl Dynamics {
         match eps.partition_point(|&(s, _)| s <= m).checked_sub(1) {
             Some(i) => m >= eps[i].1, // up again once the episode ended
             None => true,
+        }
+    }
+
+    /// The interval `[lo, hi)` of minutes around `t` over which `link`
+    /// keeps the state it has at `t`: one down episode, or the up gap
+    /// between two. The last gap's `hi` lies past every representable
+    /// minute, hence `u64`.
+    pub fn link_state_span(&self, link: LinkId, t: SimTime) -> (u32, u64) {
+        let eps = &self.episodes[link.index()];
+        let m = t.minutes();
+        let i = eps.partition_point(|&(s, _)| s <= m);
+        match i.checked_sub(1).map(|j| eps[j]) {
+            Some((s, e)) if m < e => (s, u64::from(e)),
+            prev => {
+                let lo = prev.map_or(0, |(_, e)| e);
+                let hi = eps.get(i).map_or(u64::from(u32::MAX) + 1, |&(s, _)| u64::from(s));
+                (lo, hi)
+            }
         }
     }
 
@@ -359,6 +369,25 @@ impl Dynamics {
     }
 }
 
+/// Restores the per-link invariant every query relies on: episodes sorted,
+/// non-empty and disjoint. Empty or inverted episodes are dropped and
+/// overlapping or touching ones merged.
+fn normalize_episodes(eps: &mut Vec<(u32, u32)>) {
+    eps.retain(|&(s, e)| s < e);
+    if eps.len() < 2 {
+        return;
+    }
+    eps.sort_unstable();
+    let mut merged: Vec<(u32, u32)> = Vec::with_capacity(eps.len());
+    for &(s, e) in eps.iter() {
+        match merged.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => merged.push((s, e)),
+        }
+    }
+    *eps = merged;
+}
+
 /// One standard-normal sample via Box–Muller.
 fn normal_sample(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-12);
@@ -369,6 +398,7 @@ fn normal_sample(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use s2s_topology::{build_topology, TopologyParams};
 
     fn topo() -> s2s_topology::Topology {
@@ -544,6 +574,95 @@ mod tests {
             max > 7 * 24 * 60,
             "longest episode {max} min should exceed a week"
         );
+    }
+
+    #[test]
+    fn from_episodes_merges_overlapping_episodes() {
+        // Regression: from_episodes only sorted, so a nested episode left
+        // link_up answering "up" inside the outer one while down_links
+        // said "down", and listed the link twice where both overlapped.
+        let l = LinkId::new(1);
+        let day = SimTime::from_days(1);
+        let d = Dynamics::from_episodes(3, vec![(l, 100, 300), (l, 200, 250)], day);
+        assert_eq!(d.episodes_of(l), &[(100, 300)][..]);
+        assert!(!d.link_up(l, SimTime::from_minutes(260)));
+        assert_eq!(&*d.down_links(SimTime::from_minutes(220)), &[l][..]);
+        assert_eq!(&*d.down_links(SimTime::from_minutes(260)), &[l][..]);
+        assert!(d.link_up(l, SimTime::from_minutes(300)));
+        // Touching episodes merge too, like `generate`'s.
+        let d = Dynamics::from_episodes(3, vec![(l, 50, 80), (l, 80, 90)], day);
+        assert_eq!(d.episodes_of(l), &[(50, 90)][..]);
+    }
+
+    #[test]
+    fn from_episodes_drops_empty_and_inverted_episodes() {
+        // Regression: an inverted episode panicked building the epoch
+        // index (slice bounds out of order).
+        let l = LinkId::new(0);
+        let d = Dynamics::from_episodes(
+            2,
+            vec![(l, 300, 100), (l, 40, 40), (LinkId::new(1), 10, 20)],
+            SimTime::from_days(1),
+        );
+        assert!(d.episodes_of(l).is_empty());
+        assert_eq!(d.epoch_count(), 3); // [0,10), [10,20), [20,∞)
+        for m in [0, 40, 100, 200, 300] {
+            assert!(d.link_up(l, SimTime::from_minutes(m)));
+            assert!(!d.down_links(SimTime::from_minutes(m)).contains(&l));
+        }
+    }
+
+    #[test]
+    fn link_state_span_brackets_the_state() {
+        let l = LinkId::new(1);
+        let d = Dynamics::from_episodes(
+            3,
+            vec![(l, 100, 200), (l, 300, 400)],
+            SimTime::from_days(1),
+        );
+        let span = |m| d.link_state_span(l, SimTime::from_minutes(m));
+        assert_eq!(span(0), (0, 100));
+        assert_eq!(span(99), (0, 100));
+        assert_eq!(span(100), (100, 200));
+        assert_eq!(span(199), (100, 200));
+        assert_eq!(span(200), (200, 300));
+        assert_eq!(span(350), (300, 400));
+        assert_eq!(span(400), (400, u64::from(u32::MAX) + 1));
+        assert_eq!(d.link_state_span(LinkId::new(0), SimTime::T0), (0, u64::from(u32::MAX) + 1));
+    }
+
+    proptest! {
+        /// For arbitrary (overlapping, touching, empty, inverted) episode
+        /// lists, the per-link query, the epoch view and the state span
+        /// agree at every minute.
+        #[test]
+        fn prop_link_up_agrees_with_down_links(
+            raw in proptest::collection::vec((0usize..3, 0u32..120, 0u32..120), 0..10),
+        ) {
+            let eps: Vec<(LinkId, u32, u32)> =
+                raw.iter().map(|&(l, s, e)| (LinkId::from(l), s, e)).collect();
+            let d = Dynamics::from_episodes(3, eps, SimTime::from_minutes(120));
+            for m in 0..130u32 {
+                let t = SimTime::from_minutes(m);
+                let down = d.down_links(t);
+                prop_assert!(down.windows(2).all(|w| w[0] < w[1]), "{down:?}");
+                for l in (0..3usize).map(LinkId::from) {
+                    let up = d.link_up(l, t);
+                    prop_assert_eq!(up, !down.contains(&l), "link {l:?} minute {m}");
+                    let (lo, hi) = d.link_state_span(l, t);
+                    prop_assert!(lo <= m && u64::from(m) < hi);
+                    for x in [lo, (hi.min(131) - 1) as u32] {
+                        prop_assert_eq!(d.link_up(l, SimTime::from_minutes(x)), up);
+                    }
+                    if lo > 0 {
+                        prop_assert_ne!(d.link_up(l, SimTime::from_minutes(lo - 1)), up);
+                    }
+                    if hi <= 130 {
+                        prop_assert_ne!(d.link_up(l, SimTime::from_minutes(hi as u32)), up);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    destination AS under that configuration,
 //! 3. expanding the AS path to routers: per AS-edge crossing, an ECMP
 //!    choice among live parallel links keyed on the flow hash; inside each
-//!    AS, the delay-shortest backbone path.
+//!    AS, the delay-shortest backbone path, memoized per pair.
 //!
 //! Caching exploits the fact that routing is **piecewise-constant over
 //! availability epochs**: the down-link set only changes at episode
@@ -31,6 +31,15 @@
 //! [`table_still_exact`] shows the change cannot move any selected route,
 //! the old table is shared instead of recomputed (counted as `reused`,
 //! not as a miss).
+//!
+//! Router paths are memoized per (source cluster, destination cluster,
+//! protocol). A path depends on the AS path, the live interconnects of
+//! each AS edge on it, and static data; the flow only picks one of at
+//! most two live links per edge. So an entry keeps the AS path, the
+//! interval over which every interconnect on it keeps its state, and one
+//! expansion per pick vector, and is used only while `t` is inside the
+//! interval and the configuration at `t` still yields its AS path (see
+//! [`RouteOracle::router_path`]). Counted as `path_hits` / `path_builds`.
 
 use crate::dynamics::Dynamics;
 use crate::intra::IntraAsPaths;
@@ -42,7 +51,7 @@ use s2s_topology::Topology;
 use s2s_types::{ClusterId, LinkId, Protocol, RouterId, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One hop of an expanded router-level path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,6 +173,61 @@ impl ConfigCache {
     }
 }
 
+/// The memoized router paths of one (source cluster, destination
+/// cluster, protocol). A router path is fully determined by the AS path
+/// (from the configuration at `t`), the live interconnect list of each AS
+/// edge on it, and static data; the flow enters only through one ECMP
+/// pick per edge with two or more live links. So the entry holds the AS
+/// path and the interval over which every live list on it stays constant,
+/// and caches one expansion per pick vector.
+struct PathMemo {
+    /// The AS path (`None`: unreachable) under the configuration hashed
+    /// `cfg_hash`.
+    as_path: Option<AsPath>,
+    /// The route table the AS path was reconstructed from (`None` for a
+    /// same-AS pair, whose path needs no table).
+    table: Option<Table>,
+    cfg_hash: u64,
+    /// Per AS edge `(x, y)` of the path: its live link count.
+    edges: Vec<(usize, usize, usize)>,
+    /// Every protocol-capable interconnect on the path's edges keeps its
+    /// up/down state over minutes `[lo, hi)`.
+    lo: u32,
+    hi: u64,
+    /// Expanded paths by pick vector (bit `i`: the pick at the `i`-th edge
+    /// with two or more live links), sorted by key.
+    variants: Vec<(u64, Option<Arc<RouterPath>>)>,
+}
+
+impl PathMemo {
+    fn covers(&self, t: SimTime) -> bool {
+        (self.lo..).contains(&t.minutes()) && u64::from(t.minutes()) < self.hi
+    }
+
+    /// The pick vector of `flow`, or `None` when it does not fit a key
+    /// (more than 64 edges with a choice) or an edge has no live link.
+    fn key(&self, flow: u64) -> Option<u64> {
+        let mut key = 0u64;
+        let mut bit = 0;
+        for &(x, y, live) in &self.edges {
+            match live {
+                0 => return None,
+                1 => {}
+                _ if bit == u64::BITS => return None,
+                _ => {
+                    key |= (flow_hash(flow, x, y) % 2) << bit;
+                    bit += 1;
+                }
+            }
+        }
+        Some(key)
+    }
+}
+
+/// Per source cluster, lazily allocated: one memo slot per (destination
+/// cluster, protocol) — slot `2 * dst + proto`.
+type PathRow = Box<[Mutex<Option<Box<PathMemo>>>]>;
+
 /// Cache effectiveness counters (see `RouteOracle::cache_stats`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -179,6 +243,11 @@ pub struct CacheStats {
     pub evictions: u64,
     /// (epoch, protocol) configurations derived from dynamics.
     pub epoch_configs: u64,
+    /// Router-path queries answered from the per-pair path memo.
+    pub path_hits: u64,
+    /// Router paths expanded (a pick vector seen for the first time while
+    /// its memo entry is valid).
+    pub path_builds: u64,
 }
 
 /// Snapshot routing queries with caching.
@@ -202,6 +271,9 @@ pub struct RouteOracle {
     /// slot `2 * epoch + proto`. Empty when the epoch timeline is too
     /// large (`MAX_EPOCH_SLOTS`) — then configs are derived per query.
     epoch_cfgs: RwLock<Vec<Option<Arc<EpochCfg>>>>,
+    /// Per source cluster: the router-path memo row, allocated on the
+    /// source's first query.
+    paths: Vec<OnceLock<PathRow>>,
     // Shared `s2s_obs` counters rather than bespoke atomics, so
     // [`RouteOracle::observe`] can expose the live cells in a registry
     // (`oracle.cache.*`) while `cache_stats()` keeps reading them directly.
@@ -210,6 +282,8 @@ pub struct RouteOracle {
     reused: Arc<s2s_obs::Counter>,
     evictions: Arc<s2s_obs::Counter>,
     epoch_builds: Arc<s2s_obs::Counter>,
+    path_hits: Arc<s2s_obs::Counter>,
+    path_builds: Arc<s2s_obs::Counter>,
 }
 
 fn edge_key(a: usize, b: usize) -> (u32, u32) {
@@ -278,6 +352,7 @@ impl RouteOracle {
         } else {
             Vec::new()
         };
+        let paths = (0..topo.clusters.len()).map(|_| OnceLock::new()).collect();
         RouteOracle {
             topo,
             dynamics,
@@ -288,16 +363,20 @@ impl RouteOracle {
             last,
             cache: RwLock::new(ConfigCache::default()),
             epoch_cfgs: RwLock::new(epoch_cfgs),
+            paths,
             hits: Arc::new(s2s_obs::Counter::new()),
             misses: Arc::new(s2s_obs::Counter::new()),
             reused: Arc::new(s2s_obs::Counter::new()),
             evictions: Arc::new(s2s_obs::Counter::new()),
             epoch_builds: Arc::new(s2s_obs::Counter::new()),
+            path_hits: Arc::new(s2s_obs::Counter::new()),
+            path_builds: Arc::new(s2s_obs::Counter::new()),
         }
     }
 
     /// Registers the oracle's live cache counters in `registry` under
-    /// `oracle.cache.{hits,misses,evictions,reused,epoch_configs}`. The
+    /// `oracle.cache.{hits,misses,evictions,reused,epoch_configs}` and
+    /// `oracle.paths.{hits,builds}`. The
     /// registry shares the oracle's own cells — no sampling, no copying — so
     /// a snapshot taken at any point reflects the counts
     /// [`cache_stats`](Self::cache_stats) would report.
@@ -307,6 +386,8 @@ impl RouteOracle {
         registry.register_counter("oracle.cache.evictions", Arc::clone(&self.evictions));
         registry.register_counter("oracle.cache.reused", Arc::clone(&self.reused));
         registry.register_counter("oracle.cache.epoch_configs", Arc::clone(&self.epoch_builds));
+        registry.register_counter("oracle.paths.hits", Arc::clone(&self.path_hits));
+        registry.register_counter("oracle.paths.builds", Arc::clone(&self.path_builds));
     }
 
     /// The underlying topology.
@@ -466,9 +547,7 @@ impl RouteOracle {
         proto: Protocol,
         t: SimTime,
     ) -> Option<AsPath> {
-        if proto == Protocol::V6
-            && !(self.topo.ases[src_as].dual_stack && self.topo.ases[dst_as].dual_stack)
-        {
+        if !self.proto_available(src_as, dst_as, proto) {
             return None;
         }
         let cfg = self.epoch_config(proto, t);
@@ -506,15 +585,79 @@ impl RouteOracle {
             reused: self.reused.get(),
             evictions: self.evictions.get(),
             epoch_configs: self.epoch_builds.get(),
+            path_hits: self.path_hits.get(),
+            path_builds: self.path_builds.get(),
         }
     }
 
-    /// Expands the full router-level path between two cluster servers.
+    /// The full router-level path between two cluster servers, `None`
+    /// when unreachable.
     ///
     /// `flow` keys the ECMP hash: keep it constant per (src, dst, proto) to
     /// model Paris traceroute / real TCP flows; vary it per probe to model
     /// classic traceroute.
+    ///
+    /// Answered from a per-(src, dst, proto) memo that is exact: an entry
+    /// is used only while `t` lies in the interval over which every
+    /// interconnect on its AS path keeps its state, and the configuration
+    /// at `t` still yields its AS path (same configuration, the same
+    /// table, or a table that reconstructs the same path). The flow then
+    /// selects one cached expansion by its ECMP pick vector; a vector seen
+    /// for the first time is expanded as
+    /// [`router_path_uncached`](Self::router_path_uncached) would.
     pub fn router_path(
+        &self,
+        src: ClusterId,
+        dst: ClusterId,
+        proto: Protocol,
+        t: SimTime,
+        flow: u64,
+    ) -> Option<Arc<RouterPath>> {
+        let topo = &self.topo;
+        let src_as = topo.clusters[src.index()].host_as;
+        let dst_as = topo.clusters[dst.index()].host_as;
+        if !self.proto_available(src_as, dst_as, proto) {
+            return None;
+        }
+        let cfg = self.epoch_config(proto, t);
+        let row = self.paths[src.index()]
+            .get_or_init(|| (0..2 * topo.clusters.len()).map(|_| Mutex::new(None)).collect());
+        let mut slot = row[2 * dst.index() + proto_slot(proto)].lock();
+        let valid = slot.as_deref_mut().is_some_and(|memo| {
+            memo.covers(t)
+                && (memo.cfg_hash == cfg.hash
+                    || self.revalidate(memo, &cfg, src_as, dst_as, proto))
+        });
+        if !valid {
+            *slot = Some(Box::new(self.path_memo(&cfg, src_as, dst_as, proto, t)));
+        }
+        let memo = slot.as_deref_mut().expect("just filled");
+        let Some(as_path) = &memo.as_path else {
+            self.path_hits.inc();
+            return None;
+        };
+        let Some(key) = memo.key(flow) else {
+            self.path_builds.inc();
+            return self.expand(src, dst, proto, t, flow, as_path).map(Arc::new);
+        };
+        match memo.variants.binary_search_by_key(&key, |v| v.0) {
+            Ok(i) => {
+                self.path_hits.inc();
+                memo.variants[i].1.clone()
+            }
+            Err(i) => {
+                self.path_builds.inc();
+                let path = self.expand(src, dst, proto, t, flow, as_path).map(Arc::new);
+                memo.variants.insert(i, (key, path.clone()));
+                path
+            }
+        }
+    }
+
+    /// [`router_path`](Self::router_path) expanded afresh, bypassing the
+    /// path memo (the AS path still comes from the configuration cache):
+    /// what every query cost before the memo, kept for benchmarks.
+    pub fn router_path_uncached(
         &self,
         src: ClusterId,
         dst: ClusterId,
@@ -526,7 +669,92 @@ impl RouteOracle {
         let cs = &topo.clusters[src.index()];
         let cd = &topo.clusters[dst.index()];
         let as_path = self.as_path_shared(cs.host_as, cd.host_as, proto, t)?;
+        self.expand(src, dst, proto, t, flow, &as_path)
+    }
 
+    /// IPv6 routes only between dual-stack ASes.
+    fn proto_available(&self, src_as: usize, dst_as: usize, proto: Protocol) -> bool {
+        let ases = &self.topo.ases;
+        proto == Protocol::V4 || (ases[src_as].dual_stack && ases[dst_as].dual_stack)
+    }
+
+    /// A fresh memo entry for `t`: the AS path under `cfg`, the live link
+    /// count of each of its edges, and the interval over which all those
+    /// links keep their state.
+    fn path_memo(
+        &self,
+        cfg: &Arc<EpochCfg>,
+        src_as: usize,
+        dst_as: usize,
+        proto: Protocol,
+        t: SimTime,
+    ) -> PathMemo {
+        let (as_path, table) = if src_as == dst_as {
+            (Some(Arc::new(vec![src_as])), None)
+        } else {
+            let tbl = self.table_for(cfg, dst_as, proto);
+            (reconstruct_path(&tbl, src_as, dst_as).map(Arc::new), Some(tbl))
+        };
+        let (mut lo, mut hi) = (0, u64::from(u32::MAX) + 1);
+        let mut edges = Vec::new();
+        for w in as_path.iter().flat_map(|p| p.windows(2)) {
+            let (x, y) = (w[0], w[1]);
+            let mut live = 0;
+            for &l in self.topo.interconnects_between(x, y) {
+                if proto == Protocol::V6 && !self.topo.links[l.index()].v6_enabled {
+                    continue;
+                }
+                let (a, b) = self.dynamics.link_state_span(l, t);
+                lo = lo.max(a);
+                hi = hi.min(b);
+                live += usize::from(self.dynamics.link_up(l, t));
+            }
+            edges.push((x, y, live));
+        }
+        PathMemo { as_path, table, cfg_hash: cfg.hash, edges, lo, hi, variants: Vec::new() }
+    }
+
+    /// Whether `memo`, inside its link-state interval, still holds under
+    /// the changed configuration `cfg`: the destination's table is the one
+    /// the AS path came from, or reconstructs the same path. On success
+    /// the entry is re-pinned to `cfg`.
+    fn revalidate(
+        &self,
+        memo: &mut PathMemo,
+        cfg: &Arc<EpochCfg>,
+        src_as: usize,
+        dst_as: usize,
+        proto: Protocol,
+    ) -> bool {
+        if src_as != dst_as {
+            let tbl = self.table_for(cfg, dst_as, proto);
+            let same = memo.table.as_ref().is_some_and(|old| Arc::ptr_eq(old, &tbl))
+                || reconstruct_path(&tbl, src_as, dst_as).as_deref()
+                    == memo.as_path.as_deref().map(Vec::as_slice);
+            if !same {
+                return false;
+            }
+            memo.table = Some(tbl);
+        }
+        memo.cfg_hash = cfg.hash;
+        true
+    }
+
+    /// Expands `as_path` to routers: per AS-edge crossing, an ECMP choice
+    /// among live parallel links keyed on the flow hash; inside each AS,
+    /// the delay-shortest backbone path.
+    fn expand(
+        &self,
+        src: ClusterId,
+        dst: ClusterId,
+        proto: Protocol,
+        t: SimTime,
+        flow: u64,
+        as_path: &[usize],
+    ) -> Option<RouterPath> {
+        let topo = &self.topo;
+        let cs = &topo.clusters[src.index()];
+        let cd = &topo.clusters[dst.index()];
         let mut hops: Vec<(RouterId, LinkId)> = Vec::with_capacity(16);
         // The source server's first hop: its attachment router, identified
         // by the access link toward the PoP core.
@@ -589,7 +817,7 @@ impl RouteOracle {
             out.push(Hop { router: r, ingress_link: l, hidden });
         }
 
-        Some(RouterPath { hops: out, as_path_idx: (*as_path).clone(), one_way_delay_ms: delay })
+        Some(RouterPath { hops: out, as_path_idx: as_path.to_vec(), one_way_delay_ms: delay })
     }
 
     /// Intra-AS path helper exposed for colocated-cluster campaigns.
@@ -709,6 +937,318 @@ mod tests {
         let s = o.cache_stats();
         assert!(s.reused > 0, "no table was reused: {s:?}");
         assert!(s.misses <= 2_500, "route computations regressed: {s:?}");
+    }
+
+    /// The router path as every query expanded it before the path memo,
+    /// kept as the reference: AS path from the configuration cache, then
+    /// live links, hot-potato order and ECMP pick per AS edge.
+    fn reference_router_path(
+        o: &RouteOracle,
+        src: ClusterId,
+        dst: ClusterId,
+        proto: Protocol,
+        t: SimTime,
+        flow: u64,
+    ) -> Option<RouterPath> {
+        let topo = &o.topo;
+        let cs = &topo.clusters[src.index()];
+        let cd = &topo.clusters[dst.index()];
+        let as_path = o.as_path_shared(cs.host_as, cd.host_as, proto, t)?;
+        let access = *topo.router_links[cs.router.index()].first()?;
+        let mut hops: Vec<(RouterId, LinkId)> = vec![(cs.router, access)];
+        let mut cur = cs.router;
+        for win in as_path.windows(2) {
+            let (x, y) = (win[0], win[1]);
+            let mut live = o.live_links(x, y, proto, t);
+            if live.is_empty() {
+                return None;
+            }
+            if live.len() > 2 {
+                let here = topo.router_city(cur).point();
+                live.sort_by(|&la, &lb| {
+                    let da = topo.router_city(o.egress_router(la, x)).point().distance_km(&here);
+                    let db = topo.router_city(o.egress_router(lb, x)).point().distance_km(&here);
+                    da.partial_cmp(&db).unwrap().then(la.cmp(&lb))
+                });
+                live.truncate(2);
+            }
+            let pick = live[(flow_hash(flow, x, y) % live.len() as u64) as usize];
+            let egress = o.egress_router(pick, x);
+            let ingress = topo.links[pick.index()].other_end(egress);
+            hops.extend(o.intra.path(cur, egress)?);
+            hops.push((ingress, pick));
+            cur = ingress;
+        }
+        hops.extend(o.intra.path(cur, cd.router)?);
+        let mut delay = 0.0;
+        let n = hops.len();
+        let mut out = Vec::with_capacity(n);
+        for (i, &(r, l)) in hops.iter().enumerate() {
+            delay += topo.links[l.index()].delay_ms + 0.05;
+            let as_of = |r: RouterId| topo.routers[r.index()].as_idx;
+            let hidden = topo.ases[as_of(r)].mpls
+                && i > 0
+                && i + 1 < n
+                && as_of(hops[i - 1].0) == as_of(r)
+                && as_of(hops[i + 1].0) == as_of(r);
+            out.push(Hop { router: r, ingress_link: l, hidden });
+        }
+        Some(RouterPath { hops: out, as_path_idx: (*as_path).clone(), one_way_delay_ms: delay })
+    }
+
+    /// The traceroute flows: Paris holds one per (src, dst, proto);
+    /// classic varies it per TTL and attempt.
+    fn paris_flow(src: usize, dst: usize, proto: Protocol) -> u64 {
+        ((src as u64) << 40) ^ ((dst as u64) << 16) ^ (proto as u64)
+    }
+
+    fn classic_flow(src: usize, dst: usize, proto: Protocol, ttl: u8, attempt: u8) -> u64 {
+        paris_flow(src, dst, proto) ^ (u64::from(ttl) << 8) ^ (u64::from(attempt) << 32)
+    }
+
+    fn assert_memo_exact(
+        o: &RouteOracle,
+        t: SimTime,
+        flows: impl Fn(usize, usize, Protocol) -> Vec<u64>,
+    ) {
+        let n = o.topo.clusters.len();
+        for proto in [Protocol::V4, Protocol::V6] {
+            for a in 0..n {
+                for b in 0..n {
+                    for flow in flows(a, b, proto) {
+                        let (src, dst) = (ClusterId::from(a), ClusterId::from(b));
+                        let memo = o.router_path(src, dst, proto, t, flow);
+                        let want = reference_router_path(o, src, dst, proto, t, flow);
+                        assert_eq!(
+                            memo.as_deref(),
+                            want.as_ref(),
+                            "{a}->{b} {proto:?} at minute {} flow {flow:#x}",
+                            t.minutes()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_router_paths_match_fresh_expansion() {
+        // Time-major over the first week like the ping campaign: every
+        // pair and protocol at each epoch start, the minute before it and
+        // mid-epoch, under the Paris flow; the classic flows (every TTL
+        // and attempt) rotate through the epochs so each pair sees all of
+        // them, at breakpoints included.
+        let classic: Vec<(u8, u8)> =
+            (1..=32).flat_map(|ttl| (0..3).map(move |a| (ttl, a))).collect();
+        for seed in [3, 11, 23] {
+            let o = setup_dynamic(seed);
+            let idx = o.dynamics().epochs().clone();
+            let week = o.dynamics().epoch_of(SimTime::from_days(7));
+            for e in 1..=week {
+                let (start, end) = (idx.start_of(e).minutes(), idx.start_of(e + 1).minutes());
+                let mid = start + (end - start) / 2;
+                for (i, m) in [start - 1, start, mid].into_iter().enumerate() {
+                    let turn = 3 * e + i;
+                    assert_memo_exact(&o, SimTime::from_minutes(m), |a, b, proto| {
+                        let mut flows = vec![paris_flow(a, b, proto)];
+                        let (ttl, attempt) = classic[(turn + a * 7 + b) % classic.len()];
+                        flows.push(classic_flow(a, b, proto, ttl, attempt));
+                        flows
+                    });
+                }
+                if e.is_multiple_of(48) {
+                    let t = SimTime::from_minutes(start);
+                    assert_memo_exact(&o, t, |a, b, proto| {
+                        let flow = |&(ttl, at): &(u8, u8)| classic_flow(a, b, proto, ttl, at);
+                        classic.iter().map(flow).collect()
+                    });
+                }
+            }
+            let s = o.cache_stats();
+            assert!(s.path_hits > s.path_builds, "seed {seed}: memo never hit: {s:?}");
+        }
+    }
+
+    /// The memo entry of (src, dst, proto), if any.
+    fn memo_of(o: &RouteOracle, src: usize, dst: usize, proto: Protocol) -> Option<(u32, u64)> {
+        let row = o.paths[src].get()?;
+        let slot = row[2 * dst + proto_slot(proto)].lock();
+        slot.as_ref().map(|m| (m.lo, m.hi))
+    }
+
+    #[test]
+    fn memo_interval_ends_exactly_at_link_breakpoints() {
+        // One interconnect on a pair's path goes down exactly at the end of
+        // the entry's interval and comes back exactly at a later minute:
+        // the first and last minute of each interval must be served right.
+        let topo = Arc::new(build_topology(&TopologyParams::tiny(77)));
+        let horizon = SimTime::from_days(3);
+        let all_up =
+            RouteOracle::new(Arc::clone(&topo), Arc::new(Dynamics::all_up(&topo, horizon)));
+        let (src, dst) = (ClusterId::new(0), ClusterId::new(4));
+        let flow = paris_flow(0, 4, Protocol::V4);
+        let base = all_up.router_path(src, dst, Protocol::V4, SimTime::T0, flow).expect("path");
+        let cross = base
+            .hops
+            .iter()
+            .find(|h| topo.links[h.ingress_link.index()].kind.is_interconnect())
+            .expect("an inter-AS pair")
+            .ingress_link;
+        let (down, up) = (1_000u32, 1_500u32);
+        let eps = vec![(cross, down, up)];
+        let dynamics = Arc::new(Dynamics::from_episodes(topo.links.len(), eps, horizon));
+        let o = RouteOracle::new(Arc::clone(&topo), dynamics);
+        let check = |m: u32| {
+            let t = SimTime::from_minutes(m);
+            for f in [flow, flow ^ 1, flow ^ 0x100, flow ^ (1 << 32)] {
+                let got = o.router_path(src, dst, Protocol::V4, t, f);
+                let want = reference_router_path(&o, src, dst, Protocol::V4, t, f);
+                assert_eq!(got.as_deref(), want.as_ref(), "minute {m} flow {f:#x}");
+            }
+        };
+        check(0);
+        assert_eq!(memo_of(&o, 0, 4, Protocol::V4), Some((0, u64::from(down))));
+        for m in [down - 1, down, down + 1, up - 1, up, up + 1] {
+            check(m);
+        }
+        assert_eq!(memo_of(&o, 0, 4, Protocol::V4), Some((up, u64::from(u32::MAX) + 1)));
+        // Out of order: back inside the outage, then before it.
+        for m in [down + 200, down - 1, 0] {
+            check(m);
+        }
+        assert!(!o.router_path(src, dst, Protocol::V4, SimTime::from_minutes(down), flow)
+            .unwrap()
+            .hops
+            .iter()
+            .any(|h| h.ingress_link == cross));
+    }
+
+    #[test]
+    fn config_change_off_the_path_revalidates_without_expanding() {
+        // Take down an AS edge off a pair's path whose loss forces a new
+        // route table toward the destination but leaves the pair's AS path
+        // alone: the entry is re-pinned to the new configuration and keeps
+        // serving its expansion.
+        let topo = Arc::new(build_topology(&TopologyParams::tiny(77)));
+        let horizon = SimTime::from_days(3);
+        let (t0, t1) = (SimTime::from_minutes(10), SimTime::from_minutes(600));
+        let mut edges: Vec<(usize, usize)> = topo.interconnects.keys().copied().collect();
+        edges.sort_unstable();
+        let n = topo.clusters.len();
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            let (src, dst) = (ClusterId::from(a), ClusterId::from(b));
+            let (sa, da) = (topo.clusters[a].host_as, topo.clusters[b].host_as);
+            if sa == da {
+                continue;
+            }
+            for &(x, y) in &edges {
+                let eps = topo.interconnects[&(x, y)].iter().map(|&l| (l, 300, 900)).collect();
+                let o = RouteOracle::new(
+                    Arc::clone(&topo),
+                    Arc::new(Dynamics::from_episodes(topo.links.len(), eps, horizon)),
+                );
+                let Some(before) = o.router_path(src, dst, Protocol::V4, t0, 5) else { continue };
+                if before.as_path_idx.windows(2).any(|w| edge_key(w[0], w[1]) == edge_key(x, y)) {
+                    continue;
+                }
+                let s0 = o.cache_stats();
+                let after = o.router_path(src, dst, Protocol::V4, t1, 5);
+                let s1 = o.cache_stats();
+                if s1.misses == s0.misses {
+                    continue; // the table was reused, not recomputed
+                }
+                let after = after.expect("same AS path, still reachable");
+                assert!(Arc::ptr_eq(&before, &after), "{a}->{b}: re-expanded after revalidation");
+                assert_eq!(s1.path_builds, s0.path_builds);
+                assert_eq!(s1.path_hits, s0.path_hits + 1);
+                let want = reference_router_path(&o, src, dst, Protocol::V4, t1, 5);
+                assert_eq!(Some(&*after), want.as_ref());
+                return;
+            }
+        }
+        panic!("no off-path edge forces a table recomputation yet keeps an AS path");
+    }
+
+    #[test]
+    fn ping_week_sweep_expands_few_paths() {
+        // The §5 schedule on a dynamic tiny world, as the ping campaign
+        // runs it: every pair, both protocols, forward and reverse path,
+        // every 15 minutes for a week.
+        let o = setup_dynamic(23);
+        let reg = s2s_obs::Registry::new();
+        o.observe(&reg);
+        let n = o.topology().clusters.len();
+        let mut queries = 0u64;
+        for slot in 0..7 * 24 * 4 {
+            let t = SimTime::from_minutes(15 * slot);
+            for proto in [Protocol::V4, Protocol::V6] {
+                for a in 0..n {
+                    for b in 0..n {
+                        let (src, dst) = (ClusterId::from(a), ClusterId::from(b));
+                        let flow = paris_flow(a, b, proto);
+                        queries += 1;
+                        if o.router_path(src, dst, proto, t, flow).is_some() {
+                            queries += 1;
+                            o.router_path(dst, src, proto, t, flow ^ 0x0e0e);
+                        }
+                    }
+                }
+            }
+        }
+        let s = o.cache_stats();
+        // Measured: 3 860 expansions for 682 450 queries.
+        assert!(s.path_builds <= 5_000, "path expansions regressed: {s:?}");
+        assert!(s.path_builds * 100 < queries, "memo barely helps: {s:?} of {queries}");
+        assert_eq!(reg.counter("oracle.paths.hits").get(), s.path_hits);
+        assert_eq!(reg.counter("oracle.paths.builds").get(), s.path_builds);
+    }
+
+    #[test]
+    fn classic_sweep_keeps_one_entry_per_probed_triple() {
+        // Classic traceroute varies the flow per TTL and attempt, which
+        // only selects among the pick vectors of one entry: entries stay
+        // one per (src, dst, proto), variants at most 2^(choice edges).
+        let o = setup_dynamic(11);
+        let n = o.topology().clusters.len();
+        let mut probed = BTreeSet::new();
+        for day in 0..4 {
+            let t = SimTime::from_days(day) + s2s_types::SimDuration::from_hours(3 * day);
+            for proto in [Protocol::V4, Protocol::V6] {
+                for a in 0..n {
+                    for b in (0..n).filter(|b| (a + b + day as usize).is_multiple_of(3)) {
+                        let (src, dst) = (ClusterId::from(a), ClusterId::from(b));
+                        let (sa, da) = (o.topo.clusters[a].host_as, o.topo.clusters[b].host_as);
+                        if o.proto_available(sa, da, proto) {
+                            probed.insert((a, b, proto_slot(proto)));
+                        }
+                        for ttl in 1..=32 {
+                            for attempt in 0..3 {
+                                let flow = classic_flow(a, b, proto, ttl, attempt);
+                                o.router_path(src, dst, proto, t, flow);
+                            }
+                        }
+                        // Edges with a choice, counted afresh at `t`.
+                        let slot = o.paths[a].get().map(|r| r[2 * b + proto_slot(proto)].lock());
+                        let Some(memo) = slot.as_ref().and_then(|m| m.as_ref()) else { continue };
+                        let choices = memo.as_path.as_ref().map_or(0, |p| {
+                            let live = |w: &[usize]| o.live_links(w[0], w[1], proto, t).len();
+                            p.windows(2).filter(|w| live(w) >= 2).count()
+                        });
+                        let n = memo.variants.len();
+                        assert!(n <= 1 << choices, "{a}->{b} {proto:?}: {n} variants");
+                    }
+                }
+            }
+        }
+        let mut entries = BTreeSet::new();
+        for (a, row) in o.paths.iter().enumerate() {
+            for (slot, cell) in row.get().into_iter().flat_map(|r| r.iter().enumerate()) {
+                if cell.lock().is_some() {
+                    entries.insert((a, slot / 2, slot % 2));
+                }
+            }
+        }
+        assert_eq!(entries, probed);
     }
 
     #[test]
