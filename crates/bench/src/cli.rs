@@ -8,18 +8,14 @@
 //! * `snapshot <path>` — inspect a snapshot file or shard directory,
 //! * `faults [flags]` — the fault-robustness sweep,
 //!
-//! plus `print-config`. Parsing is pure (`&[String] → Result<Parsed,
-//! String>`): no process exit, no env reads, no printing — the binary maps
-//! `Err` to [`ExitCode::Config`](s2s_types::ExitCode::Config) and
-//! [`Parsed::deprecations`] to stderr notes. The pre-subcommand spellings
-//! (`reproduce fig4 --threads 2`, `reproduce --print-config`) still parse
-//! as [`Command::Run`] with a deprecation note, so nothing scripted
-//! against the old binary breaks.
+//! plus `print-config`. An empty invocation runs everything. Parsing is
+//! pure (`&[String] → Result<Command, String>`): no process exit, no env
+//! reads, no printing — the binary maps `Err` (including an unknown
+//! subcommand) to [`ExitCode::Config`](s2s_types::ExitCode::Config).
 
 use std::path::PathBuf;
 
-/// Flags shared by the batch subcommands (`run`, `faults`, and the
-/// deprecated bare spelling).
+/// Flags shared by the batch subcommands (`run`, `faults`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunArgs {
     /// Experiment ids to run (empty = all). Validated against the
@@ -34,8 +30,6 @@ pub struct RunArgs {
     /// `--snapshot <path>`: columnar persistence (write, or reopen if it
     /// exists).
     pub snapshot: Option<PathBuf>,
-    /// `--print-config`: dump resolved knobs and exit.
-    pub print_config: bool,
 }
 
 /// Flags of the `serve` subcommand.
@@ -56,7 +50,7 @@ pub struct ServeArgs {
 /// One parsed `reproduce` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// Batch reproduction (`run`, or the deprecated bare spelling).
+    /// Batch reproduction (`run`, or an empty invocation).
     Run(RunArgs),
     /// The always-on measurement daemon.
     Serve(ServeArgs),
@@ -68,16 +62,6 @@ pub enum Command {
     Faults(RunArgs),
     /// Dump every resolved `S2S_*` knob and exit.
     PrintConfig,
-}
-
-/// A parse result: the command plus any deprecation notes the binary
-/// should print to stderr before proceeding.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Parsed {
-    /// What to do.
-    pub command: Command,
-    /// One line per deprecated spelling encountered.
-    pub deprecations: Vec<String>,
 }
 
 fn flag_value(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<String, String> {
@@ -99,7 +83,6 @@ fn parse_run(args: &[String], allow_ids: bool) -> Result<RunArgs, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--print-config" => out.print_config = true,
             "--metrics-json" => out.metrics_json = Some(flag_value(a, &mut it)?),
             "--threads" => out.threads = Some(flag_count(a, &mut it)?),
             "--workers" => out.workers = Some(flag_count(a, &mut it)?),
@@ -129,11 +112,10 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
     Ok(out)
 }
 
-/// Parses one invocation (`argv[1..]`). Pure: the only side channel is
-/// the returned deprecation notes.
-pub fn parse(args: &[String]) -> Result<Parsed, String> {
-    let mut deprecations = Vec::new();
-    let command = match args.first().map(String::as_str) {
+/// Parses one invocation (`argv[1..]`).
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    Ok(match args.first().map(String::as_str) {
+        None => Command::Run(RunArgs::default()),
         Some("run") => Command::Run(parse_run(&args[1..], true)?),
         Some("serve") => Command::Serve(parse_serve(&args[1..])?),
         Some("worker") => {
@@ -155,27 +137,13 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             }
             Command::PrintConfig
         }
-        // The pre-subcommand spelling: experiment ids and flags directly.
-        _ => {
-            let run = parse_run(args, true)?;
-            if !args.is_empty() {
-                deprecations.push(
-                    "note: bare `reproduce [ids…] [flags]` is deprecated; \
-                     spell it `reproduce run [ids…] [flags]`"
-                        .to_string(),
-                );
-            }
-            if run.print_config {
-                deprecations.push(
-                    "note: `--print-config` is deprecated; spell it \
-                     `reproduce print-config`"
-                        .to_string(),
-                );
-            }
-            Command::Run(run)
+        Some(other) => {
+            return Err(format!(
+                "unknown command '{other}' (expected run, serve, worker, snapshot, faults \
+                 or print-config)"
+            ));
         }
-    };
-    Ok(Parsed { command, deprecations })
+    })
 }
 
 #[cfg(test)]
@@ -189,48 +157,28 @@ mod tests {
     #[test]
     fn run_subcommand_parses_ids_and_flags() {
         let p = parse(&argv("run fig4 fig6 --threads 2 --snapshot /tmp/x.snap")).unwrap();
-        assert!(p.deprecations.is_empty());
-        let Command::Run(a) = p.command else { panic!("not run") };
+        let Command::Run(a) = p else { panic!("not run") };
         assert_eq!(a.ids, vec!["fig4", "fig6"]);
         assert_eq!(a.threads, Some(2));
         assert_eq!(a.snapshot, Some(PathBuf::from("/tmp/x.snap")));
         assert_eq!(a.workers, None);
-        assert!(!a.print_config);
-    }
-
-    #[test]
-    fn bare_spelling_still_parses_with_a_note() {
-        let p = parse(&argv("fig4 --workers 3 --metrics-json m.json")).unwrap();
-        assert_eq!(p.deprecations.len(), 1, "one deprecation note: {:?}", p.deprecations);
-        let Command::Run(a) = p.command else { panic!("not run") };
-        assert_eq!(a.ids, vec!["fig4"]);
+        let Command::Run(a) = parse(&argv("run fig4 --workers 3 --metrics-json m.json")).unwrap()
+        else {
+            panic!("not run")
+        };
         assert_eq!(a.workers, Some(3));
         assert_eq!(a.metrics_json.as_deref(), Some("m.json"));
     }
 
     #[test]
     fn empty_invocation_is_a_clean_run_of_everything() {
-        let p = parse(&[]).unwrap();
-        assert!(p.deprecations.is_empty(), "bare `reproduce` is not deprecated");
-        assert_eq!(p.command, Command::Run(RunArgs::default()));
-    }
-
-    #[test]
-    fn legacy_print_config_flag_notes_the_new_spelling() {
-        let p = parse(&argv("--print-config")).unwrap();
-        let Command::Run(a) = &p.command else { panic!("not run") };
-        assert!(a.print_config);
-        assert!(p.deprecations.iter().any(|d| d.contains("print-config")));
-        // The new spelling is its own command, no notes.
-        let p = parse(&argv("print-config")).unwrap();
-        assert_eq!(p.command, Command::PrintConfig);
-        assert!(p.deprecations.is_empty());
+        assert_eq!(parse(&[]).unwrap(), Command::Run(RunArgs::default()));
     }
 
     #[test]
     fn serve_parses_its_flags() {
         let p = parse(&argv("serve --epochs 12 --snapshot /tmp/s.snap --threads 4")).unwrap();
-        let Command::Serve(a) = p.command else { panic!("not serve") };
+        let Command::Serve(a) = p else { panic!("not serve") };
         assert_eq!(a.epochs, Some(12));
         assert_eq!(a.snapshot, Some(PathBuf::from("/tmp/s.snap")));
         assert_eq!(a.threads, Some(4));
@@ -240,19 +188,20 @@ mod tests {
 
     #[test]
     fn worker_snapshot_and_faults_parse() {
-        assert_eq!(parse(&argv("worker")).unwrap().command, Command::Worker);
+        assert_eq!(parse(&argv("worker")).unwrap(), Command::Worker);
         assert!(parse(&argv("worker extra")).is_err());
         assert_eq!(
-            parse(&argv("snapshot /tmp/x.snap")).unwrap().command,
+            parse(&argv("snapshot /tmp/x.snap")).unwrap(),
             Command::Snapshot(PathBuf::from("/tmp/x.snap"))
         );
         assert!(parse(&argv("snapshot")).is_err(), "snapshot needs a path");
         assert!(parse(&argv("snapshot a b")).is_err(), "exactly one path");
-        let Command::Faults(a) = parse(&argv("faults --threads 2")).unwrap().command else {
+        let Command::Faults(a) = parse(&argv("faults --threads 2")).unwrap() else {
             panic!("not faults")
         };
         assert_eq!(a.threads, Some(2));
         assert!(parse(&argv("faults fig4")).is_err(), "faults takes no ids");
+        assert_eq!(parse(&argv("print-config")).unwrap(), Command::PrintConfig);
     }
 
     #[test]
@@ -266,6 +215,8 @@ mod tests {
             "run --snapshot",
             "run --bogus",
             "--frobnicate",
+            "--print-config",
+            "table1 --workers 4",
             "print-config extra",
         ] {
             assert!(parse(&argv(bad)).is_err(), "'{bad}' must not parse");

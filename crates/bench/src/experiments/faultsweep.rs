@@ -69,7 +69,7 @@ pub fn fault_sweep(scenario: &Scenario) -> Vec<FaultSweepRow> {
         end: SimTime::from_days(days),
         interval: SimDuration::from_hours(3),
         protocols: vec![s2s_types::Protocol::V4, s2s_types::Protocol::V6],
-        threads: s2s_probe::campaign::default_threads(),
+        threads: s2s_probe::env::threads(),
     };
 
     println!(

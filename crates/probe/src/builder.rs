@@ -2,9 +2,9 @@
 //!
 //! Every campaign — plain or fault-injected, batched-parallel or
 //! sequential-reference, in-memory or checkpoint/resumed — is launched by
-//! building a [`Campaign`] and calling one of its `run_*` methods. The
-//! seven free `run_*_campaign*` functions that predate it survive as
-//! `#[deprecated]` shims over this type.
+//! building a [`Campaign`] and calling one of its `run_*` methods, and
+//! every `run_*` method dispatches into the one executor core in
+//! [`crate::campaign`] (or its sequential reference).
 //!
 //! ```no_run
 //! # use s2s_probe::{Campaign, CampaignConfig, FaultProfile, RetryPolicy};
@@ -20,7 +20,7 @@
 //! # }
 //! ```
 //!
-//! The builder always routes through the fault-aware execution cores: with
+//! The builder always routes through the fault-aware executor: with
 //! no [`Campaign::faults`] call the profile is the all-zero default, under
 //! which the fault plane provably changes nothing (the internal zero-fault
 //! equivalence tests pin the accumulators byte-for-byte against the plain
@@ -31,11 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::campaign::{
-    ping_sink_impl, ping_sink_resumable_impl, traceroute_epoch_impl, traceroute_faulty_impl,
-    traceroute_faulty_reference_impl, traceroute_resumable_impl, CampaignConfig, CampaignReport,
-    PingTimeline, RetryPolicy, CHECKPOINT_BLOCK_PAIRS,
+    ping_sink_resumable_impl, run_core, run_reference, traceroute_resumable_impl, CampaignConfig,
+    CampaignReport, PingTimeline, Pings, RetryPolicy, SlotKind, Traces, CHECKPOINT_BLOCK_PAIRS,
 };
-use crate::faults::{FaultInjector, FaultProfile};
+use crate::faults::FaultProfile;
 use crate::records::TracerouteRecord;
 use crate::stream::{StreamSink, TimelineSink};
 use crate::tracer::TraceOptions;
@@ -90,11 +89,13 @@ impl Campaign {
     /// Pairs are measured epoch-major through the same batched core as an
     /// in-memory run, in blocks of `threads × 64` pairs; after each block
     /// its pairs are appended to `path` in pair order and flushed, so a
-    /// kill loses at most one block. The file format — per pair
-    /// `B|idx|n`, the payload lines, `E|idx` — does not depend on the
-    /// block size or thread count, and the finished file and the
-    /// accumulators are bit-identical to an uninterrupted run (see the
-    /// module docs on `campaign` for why). Traceroute campaigns archive
+    /// kill loses at most one block. The file format — per pair a
+    /// `B|idx|n|…` header pinning the pair and the schedule, the payload
+    /// lines, `E|idx` — does not depend on the block size or thread
+    /// count; blocks written for another pair list or schedule are
+    /// re-measured, not replayed. The finished file and the accumulators
+    /// are bit-identical to an uninterrupted run (see the module docs on
+    /// `campaign` for why). Traceroute campaigns archive
     /// record blocks; ping campaigns (including [`Campaign::sink`] runs)
     /// archive serialized sink state. A worker panic poisons only its own
     /// pairs ([`CampaignReport::poisoned_pairs`]); the file then ends
@@ -121,10 +122,11 @@ impl Campaign {
         self
     }
 
-    /// Uses the sequential, unbatched reference executor: one thread,
-    /// time-outer pair-inner loops, no epoch batching — the seed
-    /// implementation's exact execution order. The validation baseline
-    /// the batched parallel executor must match byte for byte.
+    /// Uses the sequential, unbatched reference executor for traceroute
+    /// and ping runs alike: one thread, time-outer pair-inner loops, no
+    /// epoch batching — the seed implementation's exact execution order.
+    /// The validation baseline the batched parallel executor must match
+    /// byte for byte.
     pub fn reference(mut self) -> Self {
         self.reference = true;
         self
@@ -169,27 +171,20 @@ impl Campaign {
         I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
         S: Fn(&mut A, TracerouteRecord) + Sync,
     {
+        let kind = Traces { opts_of, init, step };
         let result = if let Some(path) = &self.checkpoint {
             traceroute_resumable_impl(
                 net,
                 pairs,
                 &self.cfg,
-                opts_of,
                 &self.profile,
                 &self.retry,
                 path,
                 self.checkpoint_block(),
-                init,
-                step,
+                &kind,
             )
-        } else if self.reference {
-            Ok(traceroute_faulty_reference_impl(
-                net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, init, step,
-            ))
         } else {
-            Ok(traceroute_faulty_impl(
-                net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, init, step,
-            ))
+            Ok(self.run_slots(net, pairs, &kind))
         };
         if let Ok((_, report)) = &result {
             self.publish(report);
@@ -202,7 +197,10 @@ impl Campaign {
     /// schedule (`0..cfg.n_samples()`; out of range panics), and
     /// `step(slot, record)` receives each record with its slot index
     /// (pair-major, protocol in `cfg.protocols` order — the same indexing
-    /// as [`Campaign::run_traceroute`]'s accumulators).
+    /// as [`Campaign::run_traceroute`]'s accumulators). The executor core
+    /// resolves the instant on one thread, then `step` runs in slot order;
+    /// a slot whose probe panicked poisons its pair (reported in
+    /// [`CampaignReport::poisoned_pairs`]) and gets no `step` call.
     ///
     /// Fault decisions are content-keyed on the global sample index, so
     /// sweeping epochs `0..n_samples` and [merging](CampaignReport::merge)
@@ -216,21 +214,25 @@ impl Campaign {
         &self,
         net: &Network,
         pairs: &[(ClusterId, ClusterId)],
-        opts_of: impl Fn(SimTime, Protocol) -> TraceOptions,
+        opts_of: impl Fn(SimTime, Protocol) -> TraceOptions + Sync,
         epoch: usize,
-        step: impl FnMut(usize, TracerouteRecord),
+        mut step: impl FnMut(usize, TracerouteRecord),
     ) -> CampaignReport {
-        let t = s2s_types::time::sample_times(self.cfg.start, self.cfg.end, self.cfg.interval)
-            .nth(epoch)
-            .unwrap_or_else(|| {
-                panic!("epoch {epoch} out of schedule range 0..{}", self.cfg.n_samples())
-            });
-        // Construction is pure and the injector is content-keyed on the
-        // profile seed, so rebuilding it per epoch changes nothing.
-        let injector = FaultInjector::new(self.profile);
-        traceroute_epoch_impl(
-            net, pairs, &self.cfg, opts_of, &injector, &self.retry, epoch, t, step,
-        )
+        let n = self.cfg.n_samples();
+        assert!(epoch < n, "epoch {epoch} out of schedule range 0..{n}");
+        let step_into = |acc: &mut Option<TracerouteRecord>, rec| *acc = Some(rec);
+        let kind = Traces { opts_of, init: |_, _, _| None, step: step_into };
+        let cfg = CampaignConfig { threads: 1, ..self.cfg.clone() };
+        let (recs, report) =
+            run_core(net, pairs, &cfg, &self.profile, &self.retry, &kind, epoch..epoch + 1);
+        // The core visits pairs destination-batched; hand the records over
+        // in slot order. A poisoned pair's slots have no record.
+        for (slot, rec) in recs.into_iter().enumerate() {
+            if let Some(rec) = rec {
+                step(slot, rec);
+            }
+        }
+        report
     }
 
     /// Runs a ping campaign, returning a dense timeline per
@@ -252,8 +254,8 @@ impl Campaign {
     }
 
     /// The ping executor behind both `run_ping` front doors: the
-    /// checkpointed block fold, the single-threaded reference, or the
-    /// batched core, all folding through `sink`. Publishes nothing.
+    /// checkpointed block fold, or [`Campaign::run_slots`], folding
+    /// through `sink`. Publishes nothing.
     fn run_ping_states<K: StreamSink>(
         &self,
         net: &Network,
@@ -272,12 +274,23 @@ impl Campaign {
                 sink,
             );
         }
-        let mut cfg = self.cfg.clone();
+        Ok(self.run_slots(net, pairs, &Pings(sink)))
+    }
+
+    /// An in-memory run of the whole schedule: the sequential reference
+    /// executor under [`Campaign::reference`], else the batched core.
+    fn run_slots<K: SlotKind>(
+        &self,
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        kind: &K,
+    ) -> (Vec<K::Acc>, CampaignReport) {
+        let (cfg, profile, retry) = (&self.cfg, &self.profile, &self.retry);
         if self.reference {
-            // The reference executor is single-threaded by definition.
-            cfg.threads = 1;
+            run_reference(net, pairs, cfg, profile, retry, kind)
+        } else {
+            run_core(net, pairs, cfg, profile, retry, kind, 0..cfg.n_samples())
         }
-        Ok(ping_sink_impl(net, pairs, &cfg, &self.profile, &self.retry, sink))
     }
 
     /// Attaches a streaming sink: the returned [`SinkCampaign`] folds every

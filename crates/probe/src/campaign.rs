@@ -7,18 +7,26 @@
 //! records, execution is *streaming*: each worker folds its pairs' records
 //! into a caller-supplied accumulator instead of materializing everything.
 //!
+//! Every slot — one (pair, protocol, sample instant) — resolves through
+//! one executor core, whatever it measures: a traceroute folded into a
+//! caller's accumulator, or a ping folded into [`StreamSink`] state (a
+//! `SlotKind`). The core runs a pair list over a *range of global sample
+//! indices*: a batch run is the whole schedule, the always-on service's
+//! per-epoch advance is one sample, and a checkpointed run is the whole
+//! schedule over one block of pairs at a time.
+//!
 //! Work is partitioned by pair (each pair's whole timeline is folded by one
 //! worker, so accumulators never need locking). Within a worker, probes are
 //! batched by **(availability epoch, destination AS)**: routing is
-//! piecewise-constant between link-failure breakpoints, so the schedule's
+//! piecewise-constant between link-failure breakpoints, so the range's
 //! sample instants are grouped into epoch runs and pairs are visited in
 //! destination-AS order inside each run — every routing computation happens
 //! once per epoch and every destination's route table stays hot while it is
 //! being probed. The batching only reorders *when* slots execute; each
 //! (pair, protocol) accumulator still folds its records in time order, and
-//! probes are content-keyed, so the dataset is byte-identical to the
-//! sequential reference runner regardless of thread count or batch size
-//! (`S2S_EPOCH_BATCH` caps samples per run; unset means unlimited).
+//! probes and fault decisions are content-keyed on the global sample index,
+//! so the result is byte-identical to the sequential reference executor
+//! regardless of thread count or sample range.
 
 use crate::dataset::{traceroute_from_line, traceroute_to_line};
 use crate::faults::{FaultInjector, FaultProfile, ProbeFault};
@@ -28,6 +36,7 @@ use crate::tracer::{trace, TraceOptions};
 use s2s_netsim::Network;
 use s2s_types::time::sample_times;
 use s2s_types::{ClusterId, Coverage, Protocol, SimDuration, SimTime};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// When and how often to measure.
@@ -53,7 +62,7 @@ impl CampaignConfig {
             end: SimTime::from_days(days),
             interval: SimDuration::from_hours(3),
             protocols: vec![Protocol::V4, Protocol::V6],
-            threads: default_threads(),
+            threads: crate::env::threads(),
         }
     }
 
@@ -64,7 +73,7 @@ impl CampaignConfig {
             end: start + SimDuration::from_days(7),
             interval: SimDuration::from_minutes(15),
             protocols: vec![Protocol::V4, Protocol::V6],
-            threads: default_threads(),
+            threads: crate::env::threads(),
         }
     }
 
@@ -75,7 +84,7 @@ impl CampaignConfig {
             end: start + SimDuration::from_days(days),
             interval: SimDuration::from_minutes(30),
             protocols: vec![Protocol::V4, Protocol::V6],
-            threads: default_threads(),
+            threads: crate::env::threads(),
         }
     }
 
@@ -92,30 +101,17 @@ impl CampaignConfig {
     }
 }
 
-/// Worker-thread default: the `S2S_THREADS` environment knob when set to
-/// a valid integer ≥ 1 (malformed values warn and fall back), otherwise
-/// the machine's available parallelism. An alias for
-/// [`crate::env::threads`], kept here because campaign configs are where
-/// the value lands.
-pub fn default_threads() -> usize {
-    crate::env::threads()
-}
-
 /// Groups consecutive sample instants into runs that share one routing
-/// epoch (capped at `cap` samples per run). Concatenated, the runs cover
-/// `times` in order, so sweeping them run-by-run preserves the per-pair
-/// time order of the schedule.
-fn epoch_runs(net: &Network, times: &[SimTime], cap: usize) -> Vec<std::ops::Range<usize>> {
+/// epoch. Concatenated, the runs cover `times` in order, so sweeping them
+/// run by run preserves the per-pair time order of the schedule.
+fn epoch_runs(net: &Network, times: &[SimTime]) -> Vec<Range<usize>> {
     let dynamics = net.oracle().dynamics();
     let mut runs = Vec::new();
     let mut start = 0;
     while start < times.len() {
         let epoch = dynamics.epoch_of(times[start]);
         let mut end = start + 1;
-        while end < times.len()
-            && end - start < cap
-            && dynamics.epoch_of(times[end]) == epoch
-        {
+        while end < times.len() && dynamics.epoch_of(times[end]) == epoch {
             end += 1;
         }
         runs.push(start..end);
@@ -162,9 +158,10 @@ pub fn colocated_pairs(topo: &s2s_topology::Topology) -> Vec<(ClusterId, Cluster
 }
 
 /// The plain (fault-free) epoch-batched parallel runner. The builder
-/// always routes through the fault-aware cores (an all-zero profile is a
-/// no-op by construction); this one survives as the independent baseline
-/// the internal zero-fault equivalence tests compare against.
+/// always routes through the fault-aware executor core (an all-zero
+/// profile is a no-op by construction); this one survives as the
+/// independent baseline the internal zero-fault equivalence tests compare
+/// against.
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn traceroute_with_impl<A, O, I, S>(
     net: &Network,
@@ -182,12 +179,12 @@ where
 {
     let (times, runs) = s2s_obs::timed("campaign.plan", || {
         let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-        let runs = epoch_runs(net, &times, crate::env::epoch_batch_cap());
+        let runs = epoch_runs(net, &times);
         (times, runs)
     });
     let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
     s2s_obs::timed("campaign.execute", || {
-        run_partitioned(pairs, cfg, move |chunk| {
+        let work = move |chunk: &[(ClusterId, ClusterId)]| {
             let mut accs: Vec<A> = chunk
                 .iter()
                 .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
@@ -205,8 +202,9 @@ where
                     }
                 }
             }
-            accs
-        })
+            (accs, CampaignReport::default())
+        };
+        run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
     })
 }
 
@@ -263,7 +261,7 @@ impl PingTimeline {
 
 /// The plain (fault-free) parallel ping runner — the independent baseline
 /// of the internal zero-fault equivalence tests (the builder always routes
-/// through the fault-aware core).
+/// through the fault-aware executor core).
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn ping_impl(
     net: &Network,
@@ -272,7 +270,7 @@ pub(crate) fn ping_impl(
 ) -> Vec<PingTimeline> {
     let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
     let times = &times;
-    run_partitioned(pairs, cfg, move |chunk| {
+    let work = move |chunk: &[(ClusterId, ClusterId)]| {
         let mut out: Vec<PingTimeline> = chunk
             .iter()
             .flat_map(|&(s, d)| {
@@ -296,8 +294,9 @@ pub(crate) fn ping_impl(
                 }
             }
         }
-        out
-    })
+        (out, CampaignReport::default())
+    };
+    run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
 }
 
 /// Convenience: a single ping as a [`PingRecord`].
@@ -473,15 +472,6 @@ impl CampaignReport {
     }
 }
 
-/// How one slot resolved under fault injection.
-enum SlotOutcome {
-    /// A record to fold (clean or truncated).
-    Record(TracerouteRecord),
-    /// Nothing came back; the caller folds a synthetic lost record so the
-    /// timeline stays dense (a gap, not a hole, in the schedule).
-    Lost,
-}
-
 /// A record standing in for a slot that produced nothing: the schedule
 /// offered the measurement, the plane lost it. Public so the fabric's
 /// degraded mode can synthesize byte-identical rows for shards abandoned
@@ -505,23 +495,129 @@ pub fn lost_record(
     }
 }
 
-/// Resolves one traceroute slot under the fault plane: crash check, then
-/// up to `retry.max_attempts` probes with exponential backoff accounting.
-#[allow(clippy::too_many_arguments)]
-fn traceroute_slot(
-    net: &Network,
-    injector: &FaultInjector,
-    retry: &RetryPolicy,
+/// One scheduled measurement: a (pair, protocol, instant) and its global
+/// sample index `seq`, the key of every fault decision and ping.
+#[derive(Clone, Copy)]
+pub(crate) struct Slot {
     src: ClusterId,
     dst: ClusterId,
     proto: Protocol,
     t: SimTime,
-    epoch: u64,
-    opts: TraceOptions,
+    seq: usize,
+}
+
+/// How the fault plane resolved a slot.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum SlotOutcome {
+    /// A clean measurement.
+    Clean,
+    /// A measurement whose result lost its tail in flight.
+    Truncated,
+    /// Nothing came back; the kind folds its lost value so the timeline
+    /// stays dense (a gap, not a hole, in the schedule).
+    Lost,
+}
+
+/// What a slot measures and what it folds into: the only part of a
+/// campaign the executors leave to the campaign kind.
+pub(crate) trait SlotKind: Sync {
+    /// Per-(pair, protocol) accumulator.
+    type Acc: Send;
+    /// Whether a truncated result is a partial measurement (a traceroute
+    /// loses its tail hops) rather than a clean one (a ping reply has no
+    /// tail to lose).
+    const TRUNCATES: bool;
+    /// Creates the accumulator of one (pair, protocol) series.
+    fn init(&self, src: ClusterId, dst: ClusterId, proto: Protocol) -> Self::Acc;
+    /// Measures `slot` unless the plane lost it, and folds the value.
+    fn fold(
+        &self,
+        acc: &mut Self::Acc,
+        net: &Network,
+        injector: &FaultInjector,
+        slot: Slot,
+        outcome: SlotOutcome,
+    );
+    /// Called once per accumulator after the executor's last sample.
+    fn finish(&self, _acc: &mut Self::Acc) {}
+}
+
+/// The traceroute kind: `opts_of(t, proto)` picks the tool options,
+/// `init(src, dst, proto)` creates an accumulator, `step(acc, record)`
+/// folds a record into it.
+pub(crate) struct Traces<O, I, S> {
+    pub(crate) opts_of: O,
+    pub(crate) init: I,
+    pub(crate) step: S,
+}
+
+impl<A, O, I, S> SlotKind for Traces<O, I, S>
+where
+    A: Send,
+    O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
+    I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
+    S: Fn(&mut A, TracerouteRecord) + Sync,
+{
+    type Acc = A;
+    const TRUNCATES: bool = true;
+
+    fn init(&self, src: ClusterId, dst: ClusterId, proto: Protocol) -> A {
+        (self.init)(src, dst, proto)
+    }
+
+    fn fold(&self, acc: &mut A, net: &Network, injector: &FaultInjector, s: Slot, o: SlotOutcome) {
+        if o == SlotOutcome::Lost {
+            return (self.step)(acc, lost_record(s.src, s.dst, s.proto, s.t));
+        }
+        let mut rec = trace(net, s.src, s.dst, s.proto, s.t, (self.opts_of)(s.t, s.proto));
+        if o == SlotOutcome::Truncated {
+            let keep = injector.truncated_hop_count(s.src, s.dst, s.t, rec.hops.len());
+            rec.hops.truncate(keep);
+            rec.reached = false;
+            rec.e2e_rtt_ms = None;
+            rec.dst_addr = None;
+        }
+        (self.step)(acc, rec);
+    }
+}
+
+/// The ping kind: each slot's RTT (`None` when lost or unreachable) folds
+/// into [`StreamSink`] state.
+pub(crate) struct Pings<'a, K>(pub(crate) &'a K);
+
+impl<K: StreamSink> SlotKind for Pings<'_, K> {
+    type Acc = K::State;
+    const TRUNCATES: bool = false;
+
+    fn init(&self, src: ClusterId, dst: ClusterId, proto: Protocol) -> K::State {
+        self.0.init(src, dst, proto)
+    }
+
+    fn fold(&self, st: &mut K::State, net: &Network, _: &FaultInjector, s: Slot, o: SlotOutcome) {
+        let rtt = match o {
+            SlotOutcome::Lost => None,
+            _ => net.ping(s.src, s.dst, s.proto, s.t, s.seq as u64),
+        };
+        // Round through f32 first: sink state must see the exact values a
+        // materialized timeline stores.
+        self.0.fold(st, s.seq as u64, s.t, rtt.map(|r| f64::from(r as f32)));
+    }
+
+    fn finish(&self, state: &mut K::State) {
+        self.0.finish(state);
+    }
+}
+
+/// Resolves one slot under the fault plane: crash check, then up to
+/// `retry.max_attempts` attempts with exponential backoff accounting.
+fn resolve_slot<K: SlotKind>(
+    injector: &FaultInjector,
+    retry: &RetryPolicy,
+    s: Slot,
     report: &mut CampaignReport,
 ) -> SlotOutcome {
     report.offered += 1;
-    if injector.agent_down(src, epoch) {
+    if injector.agent_down(s.src, s.seq as u64) {
         // A crashed agent launches nothing this epoch; retrying from the
         // same dead box is pointless.
         report.agent_down_slots += 1;
@@ -530,23 +626,17 @@ fn traceroute_slot(
     let attempts = retry.max_attempts.max(1);
     for attempt in 0..attempts {
         report.attempted += 1;
-        match injector.probe_fault(src, dst, proto, t, attempt) {
-            ProbeFault::None => {
-                report.delivered += 1;
-                return SlotOutcome::Record(trace(net, src, dst, proto, t, opts));
-            }
-            ProbeFault::Truncated => {
+        match injector.probe_fault(s.src, s.dst, s.proto, s.t, attempt) {
+            ProbeFault::Truncated if K::TRUNCATES => {
                 // The probe completed but its result lost the tail in
                 // flight: deliver what survived. No retry — the agent got
                 // *a* result and moves on.
-                let mut rec = trace(net, src, dst, proto, t, opts);
-                let keep = injector.truncated_hop_count(src, dst, t, rec.hops.len());
-                rec.hops.truncate(keep);
-                rec.reached = false;
-                rec.e2e_rtt_ms = None;
-                rec.dst_addr = None;
                 report.truncated += 1;
-                return SlotOutcome::Record(rec);
+                return SlotOutcome::Truncated;
+            }
+            ProbeFault::None | ProbeFault::Truncated => {
+                report.delivered += 1;
+                return SlotOutcome::Clean;
             }
             ProbeFault::Dropped => report.dropped_probes += 1,
             ProbeFault::Stuck => {
@@ -563,250 +653,113 @@ fn traceroute_slot(
     SlotOutcome::Lost
 }
 
-/// The fault-aware, panic-isolated epoch-batched parallel execution core
-/// (see [`Campaign::run_traceroute_with`] for the public front door).
+fn init_accs<K: SlotKind>(
+    kind: &K,
+    pairs: &[(ClusterId, ClusterId)],
+    cfg: &CampaignConfig,
+) -> Vec<K::Acc> {
+    pairs
+        .iter()
+        .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| kind.init(s, d, p)))
+        .collect()
+}
+
+/// The one production slot executor (see [`crate::Campaign`] for the
+/// front doors): resolves every (pair, protocol) slot of the global sample
+/// indices `samples` and folds it through `kind`. Accumulators are ordered
+/// pair-major, then protocol in `cfg.protocols` order.
 ///
 /// The measurement plane sits behind a [`FaultProfile`]: crashed agents
 /// skip their epochs, dropped and stuck probes retry under `retry`,
-/// truncated results are delivered as incomplete records, and slots that
-/// produce nothing fold a synthetic lost record so every timeline stays
-/// dense (one sample per scheduled instant). Workers are panic-isolated: a
-/// panicking worker poisons only its own pairs (reported, with empty
-/// accumulators) instead of taking the campaign down.
+/// truncated results are delivered incomplete, and slots that produce
+/// nothing fold the kind's lost value so every timeline stays dense (one
+/// sample per scheduled instant). Workers are panic-isolated: a panicking
+/// worker poisons only its own pairs (reported, with fresh accumulators)
+/// instead of taking the campaign down.
 ///
-/// Every fault decision is content-keyed on the profile seed, so the
-/// outcome is independent of thread count and execution order — and under
-/// the all-zero default profile the accumulators are identical to the
-/// plain runner's.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traceroute_faulty_impl<A, O, I, S>(
+/// Every fault decision and ping is keyed on the slot's global sample
+/// index, so the outcome is independent of thread count, execution order
+/// and range split: folding consecutive ranges reproduces one run over
+/// their union, [merged](CampaignReport::merge) reports included, and under
+/// the all-zero default profile the accumulators are the plain runner's.
+pub(crate) fn run_core<K: SlotKind>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
-    opts_of: O,
     profile: &FaultProfile,
     retry: &RetryPolicy,
-    init: I,
-    step: S,
-) -> (Vec<A>, CampaignReport)
-where
-    A: Send,
-    O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
-    I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
-    S: Fn(&mut A, TracerouteRecord) + Sync,
-{
+    kind: &K,
+    samples: Range<usize>,
+) -> (Vec<K::Acc>, CampaignReport) {
     let injector = FaultInjector::new(*profile);
     let (times, runs) = s2s_obs::timed("campaign.plan", || {
-        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-        let runs = epoch_runs(net, &times, crate::env::epoch_batch_cap());
+        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval)
+            .skip(samples.start)
+            .take(samples.len())
+            .collect();
+        let runs = epoch_runs(net, &times);
         (times, runs)
     });
-    let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
-    let t_exec = std::time::Instant::now();
-    let out = run_partitioned_isolated(
-        pairs,
-        cfg,
-        move |chunk| {
-            let mut report = CampaignReport::default();
-            let mut accs: Vec<A> = chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect();
-            let order = dst_batched_order(net, chunk);
-            for run in runs.iter() {
-                for &pi in &order {
-                    let (src, dst) = chunk[pi];
-                    for ti in run.clone() {
-                        let t = times[ti];
-                        for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                            let outcome = traceroute_slot(
-                                net,
-                                &injector,
-                                retry,
-                                src,
-                                dst,
-                                proto,
-                                t,
-                                // Fault decisions are keyed on the *sample
-                                // index*, not the routing epoch — keeping
-                                // the key stable under any batching.
-                                ti as u64,
-                                opts_of(t, proto),
-                                &mut report,
-                            );
-                            let rec = match outcome {
-                                SlotOutcome::Record(rec) => rec,
-                                SlotOutcome::Lost => lost_record(src, dst, proto, t),
-                            };
-                            step(&mut accs[pi * cfg.protocols.len() + qi], rec);
-                        }
+    let n_protos = cfg.protocols.len();
+    let work = |chunk: &[(ClusterId, ClusterId)]| {
+        let mut report = CampaignReport::default();
+        let mut accs = init_accs(kind, chunk, cfg);
+        let order = dst_batched_order(net, chunk);
+        for run in &runs {
+            for &pi in &order {
+                let (src, dst) = chunk[pi];
+                for ti in run.clone() {
+                    for (qi, &proto) in cfg.protocols.iter().enumerate() {
+                        let slot = Slot { src, dst, proto, t: times[ti], seq: samples.start + ti };
+                        let outcome = resolve_slot::<K>(&injector, retry, slot, &mut report);
+                        kind.fold(&mut accs[pi * n_protos + qi], net, &injector, slot, outcome);
                     }
                 }
             }
-            (accs, report)
-        },
-        move |chunk| {
-            chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect()
-        },
-    );
-    if let Some(reg) = s2s_obs::installed() {
-        reg.span("campaign.execute").record(t_exec.elapsed());
-    }
-    out
+        }
+        accs.iter_mut().for_each(|acc| kind.finish(acc));
+        (accs, report)
+    };
+    s2s_obs::timed("campaign.execute", || {
+        run_partitioned_isolated(pairs, cfg, work, |chunk| init_accs(kind, chunk, cfg))
+    })
 }
 
-/// The sequential, unbatched fault-aware execution core — the reference
-/// side of the byte-identity suites and of [`Campaign::reference`]:
-/// validates that batching changes neither the accumulators nor the
-/// [`CampaignReport`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traceroute_faulty_reference_impl<A, O, I, S>(
+/// The sequential, unbatched executor — the reference side of the
+/// byte-identity suites and of [`crate::Campaign::reference`], for both
+/// kinds: one thread, time-outer, pair-inner, every slot through the same
+/// [`resolve_slot`] and `kind` as [`run_core`]. It validates that batching
+/// and threads change neither the accumulators nor the [`CampaignReport`].
+pub(crate) fn run_reference<K: SlotKind>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
-    opts_of: O,
     profile: &FaultProfile,
     retry: &RetryPolicy,
-    init: I,
-    step: S,
-) -> (Vec<A>, CampaignReport)
-where
-    O: Fn(SimTime, Protocol) -> TraceOptions,
-    I: Fn(ClusterId, ClusterId, Protocol) -> A,
-    S: Fn(&mut A, TracerouteRecord),
-{
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
+    kind: &K,
+) -> (Vec<K::Acc>, CampaignReport) {
     let injector = FaultInjector::new(*profile);
     let mut report = CampaignReport::default();
-    let init = &init;
-    let mut accs: Vec<A> = pairs
-        .iter()
-        .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-        .collect();
-    for (ti, &t) in times.iter().enumerate() {
+    let mut accs = init_accs(kind, pairs, cfg);
+    for (seq, t) in sample_times(cfg.start, cfg.end, cfg.interval).enumerate() {
         for (pi, &(src, dst)) in pairs.iter().enumerate() {
             for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                let outcome = traceroute_slot(
-                    net,
-                    &injector,
-                    retry,
-                    src,
-                    dst,
-                    proto,
-                    t,
-                    ti as u64,
-                    opts_of(t, proto),
-                    &mut report,
-                );
-                let rec = match outcome {
-                    SlotOutcome::Record(rec) => rec,
-                    SlotOutcome::Lost => lost_record(src, dst, proto, t),
-                };
-                step(&mut accs[pi * cfg.protocols.len() + qi], rec);
+                let slot = Slot { src, dst, proto, t, seq };
+                let outcome = resolve_slot::<K>(&injector, retry, slot, &mut report);
+                let acc = &mut accs[pi * cfg.protocols.len() + qi];
+                kind.fold(acc, net, &injector, slot, outcome);
             }
         }
     }
+    accs.iter_mut().for_each(|acc| kind.finish(acc));
     (accs, report)
 }
 
-/// The single-epoch execution core behind the always-on service (see
-/// [`Campaign::run_traceroute_epoch`] for the public front door): resolves
-/// every (pair, protocol) slot of **one** schedule instant, in the
-/// reference executor's slot order (pair-major, protocol in
-/// `cfg.protocols` order).
-///
-/// Fault decisions are keyed on the *global* sample index `epoch` — the
-/// same key every batch core uses — so driving the schedule epoch by
-/// epoch reproduces the batch outcome exactly: folding each epoch's
-/// records into per-slot accumulators yields byte-identical accumulators,
-/// and [merging](CampaignReport::merge) the per-epoch reports yields the
-/// batch [`CampaignReport`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traceroute_epoch_impl<O, S>(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    opts_of: O,
-    injector: &FaultInjector,
-    retry: &RetryPolicy,
-    epoch: usize,
-    t: SimTime,
-    mut step: S,
-) -> CampaignReport
-where
-    O: Fn(SimTime, Protocol) -> TraceOptions,
-    S: FnMut(usize, TracerouteRecord),
-{
-    let mut report = CampaignReport::default();
-    for (pi, &(src, dst)) in pairs.iter().enumerate() {
-        for (qi, &proto) in cfg.protocols.iter().enumerate() {
-            let outcome = traceroute_slot(
-                net,
-                injector,
-                retry,
-                src,
-                dst,
-                proto,
-                t,
-                epoch as u64,
-                opts_of(t, proto),
-                &mut report,
-            );
-            let rec = match outcome {
-                SlotOutcome::Record(rec) => rec,
-                SlotOutcome::Lost => lost_record(src, dst, proto, t),
-            };
-            step(pi * cfg.protocols.len() + qi, rec);
-        }
-    }
-    report
-}
-
-/// One ping slot under the fault plane (the agent is known to be up).
-#[allow(clippy::too_many_arguments)]
-fn ping_slot(
-    net: &Network,
-    injector: &FaultInjector,
-    retry: &RetryPolicy,
-    src: ClusterId,
-    dst: ClusterId,
-    proto: Protocol,
-    t: SimTime,
-    seq: usize,
-    report: &mut CampaignReport,
-) -> Option<f64> {
-    let attempts = retry.max_attempts.max(1);
-    for attempt in 0..attempts {
-        report.attempted += 1;
-        match injector.probe_fault(src, dst, proto, t, attempt) {
-            // Pings have no tail to truncate; a truncated reply is a
-            // delivered reply.
-            ProbeFault::None | ProbeFault::Truncated => {
-                report.delivered += 1;
-                return net.ping(src, dst, proto, t, seq as u64);
-            }
-            ProbeFault::Dropped => report.dropped_probes += 1,
-            ProbeFault::Stuck => {
-                report.stuck_probes += 1;
-                report.deadline_ms_lost += retry.probe_deadline_ms;
-            }
-        }
-        if attempt + 1 < attempts {
-            report.retried += 1;
-            report.backoff_ms += retry.backoff_base_ms * f64::from(1u32 << attempt.min(20));
-        }
-    }
-    report.gave_up += 1;
-    None
-}
-
-/// Like [`run_partitioned`], but workers return a report alongside their
-/// accumulators and are panic-isolated: a panicking worker contributes
-/// empty accumulators (built by `mk_empty`) and marks its pairs poisoned
-/// instead of aborting the campaign.
+/// Partitions pairs across `cfg.threads` workers and concatenates their
+/// accumulators in pair order and their reports. Workers are
+/// panic-isolated: a panicking worker contributes fresh accumulators
+/// (built by `mk_empty`) and marks its pairs poisoned instead of aborting
+/// the campaign.
 fn run_partitioned_isolated<A, F, E>(
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
@@ -820,29 +773,34 @@ where
 {
     let threads = cfg.threads.max(1).min(pairs.len().max(1));
     let chunk_size = pairs.len().div_ceil(threads).max(1);
-    let chunk_results: Vec<(Vec<A>, CampaignReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let (work, mk_empty) = (&work, &mk_empty);
-                scope.spawn(move || match catch_unwind(AssertUnwindSafe(|| work(chunk))) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        let report = CampaignReport {
-                            worker_panics: 1,
-                            poisoned_pairs: chunk.to_vec(),
-                            ..CampaignReport::default()
-                        };
-                        (mk_empty(chunk), report)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("isolated campaign worker cannot panic"))
-            .collect()
-    });
+    let isolated = |chunk: &[(ClusterId, ClusterId)]| {
+        match catch_unwind(AssertUnwindSafe(|| work(chunk))) {
+            Ok(result) => result,
+            Err(_) => {
+                let report = CampaignReport {
+                    worker_panics: 1,
+                    poisoned_pairs: chunk.to_vec(),
+                    ..CampaignReport::default()
+                };
+                (mk_empty(chunk), report)
+            }
+        }
+    };
+    // A lone worker runs on the calling thread: the service's per-epoch
+    // advance would otherwise spawn a thread per schedule instant.
+    let isolated = &isolated;
+    let chunk_results: Vec<(Vec<A>, CampaignReport)> = if threads == 1 {
+        vec![isolated(pairs)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                pairs.chunks(chunk_size).map(|c| scope.spawn(move || isolated(c))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("isolated campaign worker cannot panic"))
+                .collect()
+        })
+    };
     let mut report = CampaignReport::default();
     let mut accs = Vec::new();
     for (chunk_accs, chunk_report) in chunk_results {
@@ -850,73 +808,6 @@ where
         accs.extend(chunk_accs);
     }
     (accs, report)
-}
-
-// ---------------------------------------------------------------------------
-// Streaming sinks
-// ---------------------------------------------------------------------------
-
-/// The fault-aware parallel ping execution core (see
-/// [`Campaign::run_ping`]): every slot is folded into per-(pair, protocol)
-/// sink state — memory proportional to pairs, not samples, unless the sink
-/// materializes ([`crate::stream::TimelineSink`], where lost slots stay
-/// `NaN` so the dense timeline shape is preserved). States are ordered
-/// pair-major, then protocol in `cfg.protocols` order, like every other
-/// campaign accumulator.
-pub(crate) fn ping_sink_impl<K: StreamSink>(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    profile: &FaultProfile,
-    retry: &RetryPolicy,
-    sink: &K,
-) -> (Vec<K::State>, CampaignReport) {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let injector = FaultInjector::new(*profile);
-    let times = &times;
-    run_partitioned_isolated(
-        pairs,
-        cfg,
-        move |chunk| {
-            let mut report = CampaignReport::default();
-            let mut out: Vec<K::State> = empty_sink_states(chunk, cfg, sink);
-            for (ti, &t) in times.iter().enumerate() {
-                for (pi, &(src, dst)) in chunk.iter().enumerate() {
-                    for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                        report.offered += 1;
-                        let rtt = if injector.agent_down(src, ti as u64) {
-                            report.agent_down_slots += 1;
-                            None
-                        } else {
-                            ping_slot(
-                                net, &injector, retry, src, dst, proto, t, ti, &mut report,
-                            )
-                        };
-                        // Round through f32 first: sink state must see the
-                        // exact values a materialized timeline stores.
-                        let rtt = rtt.map(|r| f64::from(r as f32));
-                        sink.fold(&mut out[pi * cfg.protocols.len() + qi], ti as u64, t, rtt);
-                    }
-                }
-            }
-            for st in &mut out {
-                sink.finish(st);
-            }
-            (out, report)
-        },
-        move |chunk| empty_sink_states(chunk, cfg, sink),
-    )
-}
-
-fn empty_sink_states<K: StreamSink>(
-    chunk: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    sink: &K,
-) -> Vec<K::State> {
-    chunk
-        .iter()
-        .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| sink.init(s, d, p)))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -931,15 +822,14 @@ fn empty_sink_states<K: StreamSink>(
 /// loses little work.
 pub(crate) const CHECKPOINT_BLOCK_PAIRS: usize = 64;
 
-/// The checkpoint/resume ping executor over a [`StreamSink`]:
-/// [`ping_sink_impl`] run as a block fold by [`run_checkpointed`], with
-/// one [`StreamSink::save`] line per protocol as each pair's block
-/// payload. On resume, complete leading blocks are [`StreamSink::load`]ed
-/// instead of re-measured (the per-probe report counters of replayed
-/// pairs are not reconstructed, mirroring the traceroute path). Because
-/// fault decisions are content-keyed and `save`/`load` round-trip
-/// bit-exactly, the finished file and the returned states match an
-/// uninterrupted run's.
+/// The checkpoint/resume ping executor over a [`StreamSink`]: the core
+/// run as a block fold by [`run_checkpointed`], with one
+/// [`StreamSink::save`] line per protocol as each pair's block payload.
+/// On resume, complete leading blocks are [`StreamSink::load`]ed instead
+/// of re-measured (the per-probe report counters of replayed pairs are not
+/// reconstructed, mirroring the traceroute path). Because fault decisions
+/// are content-keyed and `save`/`load` round-trip bit-exactly, the
+/// finished file and the returned states match an uninterrupted run's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     net: &Network,
@@ -951,15 +841,17 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     block_pairs: usize,
     sink: &K,
 ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
+    let n_samples = cfg.n_samples();
     run_checkpointed(
         checkpoint,
         pairs,
-        cfg.protocols.len(),
+        cfg,
         cfg.protocols.len(),
         block_pairs,
         |_, lines| lines.iter().map(|line| sink.load(line)).collect(),
         |block| {
-            let (states, report) = ping_sink_impl(net, block, cfg, profile, retry, sink);
+            let (states, report) =
+                run_core(net, block, cfg, profile, retry, &Pings(sink), 0..n_samples);
             let slots = states
                 .into_iter()
                 .map(|st| {
@@ -972,10 +864,10 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     )
 }
 
-/// The checkpoint/resume execution core (see [`Campaign::checkpoint`] for
-/// the public front door): [`traceroute_faulty_impl`] run as a block fold
-/// by [`run_checkpointed`], so a checkpointed campaign measures
-/// epoch-major and destination-batched exactly like an in-memory one.
+/// The checkpoint/resume traceroute executor (see [`crate::Campaign::checkpoint`]
+/// for the public front door): the core run as a block fold by
+/// [`run_checkpointed`], so a checkpointed campaign measures epoch-major
+/// and destination-batched exactly like an in-memory one.
 ///
 /// **Bit-identical dataset guarantee.** Kill this process at any instant
 /// and rerun with the same arguments: the finished checkpoint file is
@@ -987,21 +879,19 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
 /// through the archive line format, so a replayed pair folds exactly the
 /// bytes a fresh pair would have archived.
 ///
-/// The checkpoint format rides the dataset line format: per pair,
-/// `B|<pair_index>|<n_records>`, the records as `T|…` lines (time-major,
-/// protocol-minor), then `E|<pair_index>`.
+/// The checkpoint format rides the dataset line format: per pair, the
+/// block header (see [`run_checkpointed`]), the records as `T|…` lines
+/// (time-major, protocol-minor), then `E|<pair_index>`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
-    opts_of: O,
     profile: &FaultProfile,
     retry: &RetryPolicy,
     checkpoint: &std::path::Path,
     block_pairs: usize,
-    init: I,
-    step: S,
+    kind: &Traces<O, I, S>,
 ) -> std::io::Result<(Vec<A>, CampaignReport)>
 where
     A: Send,
@@ -1010,43 +900,37 @@ where
     S: Fn(&mut A, TracerouteRecord) + Sync,
 {
     let n_samples = cfg.n_samples();
-    let (opts_of, init, step) = (&opts_of, &init, &step);
+    let archiving = Traces {
+        opts_of: &kind.opts_of,
+        init: |s, d, p| ((kind.init)(s, d, p), Vec::with_capacity(n_samples)),
+        step: |(acc, lines): &mut (A, Vec<String>), rec| {
+            let line = traceroute_to_line(&rec);
+            // Fold the archived form, not the live one: replay and fresh
+            // paths must fold identical bytes.
+            (kind.step)(acc, traceroute_from_line(&line, 0).expect("own format must round-trip"));
+            lines.push(line);
+        },
+    };
     run_checkpointed(
         checkpoint,
         pairs,
-        cfg.protocols.len(),
+        cfg,
         n_samples * cfg.protocols.len(),
         block_pairs,
         |pi, lines| {
             let (src, dst) = pairs[pi];
-            let mut accs: Vec<A> = cfg.protocols.iter().map(|&p| init(src, dst, p)).collect();
+            let mut accs: Vec<A> =
+                cfg.protocols.iter().map(|&p| (kind.init)(src, dst, p)).collect();
             for (li, line) in lines.iter().enumerate() {
                 let rec = traceroute_from_line(line, li + 1).map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
                 })?;
                 let qi = cfg.protocols.iter().position(|&p| p == rec.proto).unwrap_or(0);
-                step(&mut accs[qi], rec);
+                (kind.step)(&mut accs[qi], rec);
             }
             Ok(accs)
         },
-        |block| {
-            traceroute_faulty_impl(
-                net,
-                block,
-                cfg,
-                opts_of,
-                profile,
-                retry,
-                |s, d, p| (init(s, d, p), Vec::with_capacity(n_samples)),
-                |(acc, lines): &mut (A, Vec<String>), rec| {
-                    let line = traceroute_to_line(&rec);
-                    // Fold the archived form, not the live one: replay
-                    // and fresh paths must fold identical bytes.
-                    step(acc, traceroute_from_line(&line, 0).expect("own format must round-trip"));
-                    lines.push(line);
-                },
-            )
-        },
+        |block| run_core(net, block, cfg, profile, retry, &archiving, 0..n_samples),
     )
 }
 
@@ -1056,32 +940,46 @@ where
 /// at a time with `run_block` and append each block's pairs in pair order,
 /// flushing after every block — a kill loses at most one block.
 ///
+/// Each pair's file block opens with the header
+/// `B|<pair_index>|<n_lines>|<src>|<dst>|<start>|<end>|<interval>|<protocols>`,
+/// which pins the pair and the schedule: a block written for another pair
+/// list or schedule ends the replayable prefix and is re-measured, never
+/// folded into the wrong slots.
+///
 /// `run_block` returns one `(accumulator, archive lines)` per
-/// (pair, protocol) slot, `slots_per_pair` per pair, pair-major, plus the
-/// block's report; a pair's file block holds its slots' lines interleaved
-/// time-major, protocol-minor. A pair the block's report marks poisoned
-/// (its worker panicked) holds empty accumulators, so appending stops
-/// before it: the rest of the run still measures in memory, and a rerun
-/// re-measures from that pair on instead of replaying its empty state as
-/// complete.
+/// (pair, protocol) slot, pair-major, plus the block's report; a pair's
+/// file block holds its slots' lines interleaved time-major,
+/// protocol-minor. A pair the block's report marks poisoned (its worker
+/// panicked) holds fresh accumulators, so appending stops before it: the
+/// rest of the run still measures in memory, and a rerun re-measures from
+/// that pair on instead of replaying its empty state as complete.
 fn run_checkpointed<A>(
     checkpoint: &std::path::Path,
     pairs: &[(ClusterId, ClusterId)],
-    slots_per_pair: usize,
+    cfg: &CampaignConfig,
     lines_per_pair: usize,
     block_pairs: usize,
     replay: impl Fn(usize, &[String]) -> std::io::Result<Vec<A>>,
     run_block: impl Fn(&[(ClusterId, ClusterId)]) -> (Vec<(A, Vec<String>)>, CampaignReport),
 ) -> std::io::Result<(Vec<A>, CampaignReport)> {
     use std::io::{Seek, SeekFrom, Write};
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, lines_per_pair)?;
-    let done_pairs = replayable.len().min(pairs.len());
+    let slots_per_pair = cfg.protocols.len();
+    let protocols: Vec<String> = cfg.protocols.iter().map(ToString::to_string).collect();
+    let schedule =
+        format!("{}|{}|{}|{}", cfg.start.0, cfg.end.0, cfg.interval.0, protocols.join(","));
+    let header = |pi: usize| {
+        let (src, dst) = pairs[pi];
+        format!("B|{pi}|{lines_per_pair}|{}|{}|{schedule}", src.0, dst.0)
+    };
+    let (replayable, keep_bytes) =
+        load_checkpoint_prefix(checkpoint, (0..pairs.len()).map(header), lines_per_pair)?;
+    let done_pairs = replayable.len();
     let file = std::fs::OpenOptions::new()
         .create(true)
         .write(true)
         .read(true)
         // Not truncated on open: the complete leading blocks are kept and
-        // set_len below discards only the partial tail.
+        // set_len below discards only the rest.
         .truncate(false)
         .open(checkpoint)?;
     file.set_len(keep_bytes)?;
@@ -1090,7 +988,7 @@ fn run_checkpointed<A>(
 
     let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * slots_per_pair);
     let mut report = CampaignReport::default();
-    for (pi, lines) in replayable.iter().take(done_pairs).enumerate() {
+    for (pi, lines) in replayable.iter().enumerate() {
         let pair_accs = replay(pi, lines)
             .map_err(|e| std::io::Error::new(e.kind(), format!("checkpoint block {pi}: {e}")))?;
         accs.extend(pair_accs);
@@ -1113,8 +1011,7 @@ fn run_checkpointed<A>(
                 continue;
             }
             let idx = done_pairs + bi * block_pairs + off;
-            let n: usize = pair_lines.iter().map(ExactSizeIterator::len).sum();
-            writeln!(out, "B|{idx}|{n}")?;
+            writeln!(out, "{}", header(idx))?;
             // One line per slot per pass: time-major, protocol-minor.
             while pair_lines.iter().any(|lines| !lines.as_slice().is_empty()) {
                 for line in pair_lines.iter_mut().filter_map(Iterator::next) {
@@ -1129,12 +1026,15 @@ fn run_checkpointed<A>(
     Ok((accs, report))
 }
 
-/// Reads the complete leading blocks of a checkpoint file. Returns the
-/// record lines of each complete pair block (in pair order) and the byte
-/// length of the accepted prefix; everything after — a torn block from a
-/// mid-write kill, or trailing garbage — is for the caller to truncate.
+/// Reads the complete leading blocks of a checkpoint file: block `i` must
+/// open with the `i`-th of `headers` and hold `records_per_pair` lines.
+/// Returns the record lines of each complete pair block (in pair order)
+/// and the byte length of the accepted prefix; everything after — a torn
+/// block from a mid-write kill, another campaign's block, or trailing
+/// garbage — is for the caller to truncate.
 fn load_checkpoint_prefix(
     path: &std::path::Path,
+    headers: impl Iterator<Item = String>,
     records_per_pair: usize,
 ) -> std::io::Result<(Vec<Vec<String>>, u64)> {
     let text = match std::fs::read_to_string(path) {
@@ -1147,71 +1047,28 @@ fn load_checkpoint_prefix(
     let mut blocks: Vec<Vec<String>> = Vec::new();
     let mut accepted: u64 = 0;
     let mut lines = text.split_inclusive('\n');
-    'blocks: while let Some(header) = lines.next() {
-        let h = header.trim_end();
-        let mut parts = h.split('|');
-        let (Some("B"), Some(idx), Some(n), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
+    'blocks: for expected in headers {
+        let Some(header) = lines.next() else { break };
+        if header.trim_end() != expected {
             break;
-        };
-        // Blocks are written in pair order; anything out of sequence is a
-        // torn or foreign tail.
-        if idx.parse::<usize>() != Ok(blocks.len()) {
-            break;
-        }
-        let Ok(n) = n.parse::<usize>() else { break };
-        if n != records_per_pair {
-            break; // written under a different schedule — don't trust it
         }
         let mut block_bytes = header.len() as u64;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut records = Vec::with_capacity(records_per_pair);
+        for _ in 0..records_per_pair {
             let Some(line) = lines.next() else { break 'blocks };
             block_bytes += line.len() as u64;
             records.push(line.trim_end().to_string());
         }
         let Some(footer) = lines.next() else { break };
         block_bytes += footer.len() as u64;
-        if footer.trim_end() != format!("E|{}", blocks.len()) {
-            break;
-        }
         // Only a block whose footer landed on disk intact counts.
-        if !footer.ends_with('\n') {
+        if footer.trim_end() != format!("E|{}", blocks.len()) || !footer.ends_with('\n') {
             break;
         }
         accepted += block_bytes;
         blocks.push(records);
     }
     Ok((blocks, accepted))
-}
-
-/// Partitions pairs across workers and concatenates per-chunk outputs in
-/// pair order.
-fn run_partitioned<A, F>(
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    work: F,
-) -> Vec<A>
-where
-    A: Send,
-    F: Fn(&[(ClusterId, ClusterId)]) -> Vec<A> + Sync,
-{
-    let threads = cfg.threads.max(1).min(pairs.len().max(1));
-    if threads <= 1 || pairs.len() < 4 {
-        return work(pairs);
-    }
-    let chunk_size = pairs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let work = &work;
-                scope.spawn(move || work(chunk))
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("campaign worker panicked")).collect()
-    })
 }
 
 #[cfg(test)]
@@ -1549,28 +1406,38 @@ mod tests {
             },
             ..TraceOptions::default()
         };
-        let campaign = Campaign::new(cfg.clone()).faults(lossy_profile());
-        let (batch, batch_report) = campaign
-            .run_traceroute_with(
-                &net,
-                &pairs,
-                opts_of,
-                |_, _, _| Vec::new(),
-                |acc: &mut Vec<TracerouteRecord>, rec| acc.push(rec),
-            )
-            .unwrap();
-        let slots = pairs.len() * cfg.protocols.len();
-        let mut swept: Vec<Vec<TracerouteRecord>> = vec![Vec::new(); slots];
-        let mut swept_report = CampaignReport::default();
-        for epoch in 0..cfg.n_samples() {
-            let r = campaign.run_traceroute_epoch(&net, &pairs, opts_of, epoch, |slot, rec| {
-                swept[slot].push(rec)
-            });
-            swept_report.merge(&r);
+        // The second profile also crashes agents, whose downtime is keyed
+        // on the global sample index the per-epoch door must pass through.
+        let crashy = FaultProfile { crash_rate: 0.3, ..lossy_profile() };
+        for profile in [lossy_profile(), crashy] {
+            let campaign = Campaign::new(cfg.clone()).faults(profile);
+            let (batch, batch_report) = campaign
+                .run_traceroute_with(
+                    &net,
+                    &pairs,
+                    opts_of,
+                    |_, _, _| Vec::new(),
+                    |acc: &mut Vec<TracerouteRecord>, rec| acc.push(rec),
+                )
+                .unwrap();
+            let slots = pairs.len() * cfg.protocols.len();
+            let mut swept: Vec<Vec<TracerouteRecord>> = vec![Vec::new(); slots];
+            let mut swept_report = CampaignReport::default();
+            for epoch in 0..cfg.n_samples() {
+                let r = campaign.run_traceroute_epoch(&net, &pairs, opts_of, epoch, |slot, rec| {
+                    swept[slot].push(rec)
+                });
+                swept_report.merge(&r);
+            }
+            assert_eq!(swept, batch, "epoch sweep must reproduce the batch dataset exactly");
+            assert_eq!(swept_report, batch_report, "merged per-epoch reports must equal batch");
+            let lost = if profile == crashy {
+                swept_report.agent_down_slots
+            } else {
+                swept_report.gave_up
+            };
+            assert!(lost > 0, "profile must actually lose slots");
         }
-        assert_eq!(swept, batch, "epoch sweep must reproduce the batch dataset exactly");
-        assert_eq!(swept_report, batch_report, "merged per-epoch reports must equal batch");
-        assert!(swept_report.gave_up > 0, "profile must actually lose slots");
     }
 
     #[test]
@@ -1684,26 +1551,23 @@ mod tests {
         let times: Vec<SimTime> =
             sample_times(SimTime::T0, SimTime::from_days(10), SimDuration::from_hours(2))
                 .collect();
-        for cap in [usize::MAX, 5, 2, 1] {
-            let runs = epoch_runs(&net, &times, cap);
-            // Runs tile 0..times.len() in order, without gaps or overlap.
-            let mut next = 0;
-            for r in &runs {
-                assert_eq!(r.start, next, "runs must be contiguous");
-                assert!(r.end > r.start, "runs must be non-empty");
-                assert!(r.len() <= cap, "cap {cap} exceeded by {r:?}");
-                let e0 = dyns.epoch_of(times[r.start]);
-                for ti in r.clone() {
-                    assert_eq!(dyns.epoch_of(times[ti]), e0, "run crosses an epoch boundary");
-                }
-                next = r.end;
+        let runs = epoch_runs(&net, &times);
+        // Runs tile 0..times.len() in order, without gaps or overlap.
+        let mut next = 0;
+        for r in &runs {
+            assert_eq!(r.start, next, "runs must be contiguous");
+            assert!(r.end > r.start, "runs must be non-empty");
+            let e0 = dyns.epoch_of(times[r.start]);
+            for ti in r.clone() {
+                assert_eq!(dyns.epoch_of(times[ti]), e0, "run crosses an epoch boundary");
             }
-            assert_eq!(next, times.len(), "runs must cover every sample");
+            next = r.end;
         }
-        // With breakpoints inside the horizon, an uncapped grouping still
-        // produces more than one run.
-        assert!(epoch_runs(&net, &times, usize::MAX).len() > 1);
-        assert!(epoch_runs(&net, &[], usize::MAX).is_empty());
+        assert_eq!(next, times.len(), "runs must cover every sample");
+        // With breakpoints inside the horizon, the grouping produces more
+        // than one run.
+        assert!(runs.len() > 1);
+        assert!(epoch_runs(&net, &[]).is_empty());
     }
 
     #[test]
@@ -1766,6 +1630,34 @@ mod tests {
             drop_rate: 0.02,
             ..FaultProfile::default()
         };
+        // The report's coverage identities survive batching + faults.
+        let identities_hold = |report: &CampaignReport| {
+            assert_eq!(
+                report.offered,
+                report.delivered + report.truncated + report.gave_up + report.agent_down_slots
+            );
+            assert_eq!(
+                report.attempted,
+                report.delivered + report.truncated + report.dropped_probes + report.stuck_probes
+            );
+            assert!(report.coverage().fraction() <= 1.0);
+        };
+        // Ping campaigns run the same core in the epoch-major order; their
+        // sink states must match the reference's bit for bit (`save` lines).
+        let timeline = crate::stream::TimelineSink::for_config(&cfg);
+        let profiles = crate::stream::PairProfileSink::with_shape(&cfg, 64, 32);
+        let pings = |campaign: Campaign| {
+            let (tls, report) =
+                campaign.clone().sink(timeline.clone()).run_ping(&net, &pairs).unwrap();
+            let (pfs, pf_report) = campaign.sink(profiles.clone()).run_ping(&net, &pairs).unwrap();
+            assert_eq!(pf_report, report);
+            let lines: Vec<String> = tls
+                .iter()
+                .map(|st| timeline.save(st))
+                .chain(pfs.iter().map(|st| profiles.save(st)))
+                .collect();
+            (lines, report)
+        };
         for profile in [FaultProfile::default(), lossy_profile(), crash_heavy] {
             let (ref_accs, ref_report) = Campaign::new(cfg.clone())
                 .reference()
@@ -1780,16 +1672,17 @@ mod tests {
                 .unwrap();
             assert_eq!(accs, ref_accs, "faulty batched runner diverged from reference");
             assert_eq!(report, ref_report);
-            // The report's coverage identities survive batching + faults.
-            assert_eq!(
-                report.offered,
-                report.delivered + report.truncated + report.gave_up + report.agent_down_slots
-            );
-            assert_eq!(
-                report.attempted,
-                report.delivered + report.truncated + report.dropped_probes + report.stuck_probes
-            );
-            assert!(report.coverage().fraction() <= 1.0);
+            identities_hold(&report);
+
+            let (ref_lines, ref_report) =
+                pings(Campaign::new(cfg.clone()).reference().faults(profile).retry(retry));
+            for threads in [1usize, 3] {
+                let campaign = Campaign::new(cfg.clone()).threads(threads);
+                let (lines, report) = pings(campaign.faults(profile).retry(retry));
+                assert_eq!(lines, ref_lines, "{threads} threads: ping core diverged");
+                assert_eq!(report, ref_report);
+                identities_hold(&report);
+            }
         }
     }
 
@@ -1824,11 +1717,9 @@ mod tests {
         let step = |acc: &mut Vec<Option<f64>>, rec: TracerouteRecord| acc.push(rec.e2e_rtt_ms);
         // Blocks of 3 pairs: 7 blocks, each split over both threads.
         let run = |path: &std::path::Path| {
-            let opts = |_, _| TraceOptions::default();
-            traceroute_resumable_impl(
-                &net, &pairs, &cfg, opts, &profile, &retry, path, 3, init, step,
-            )
-            .expect("resumable campaign")
+            let kind = Traces { opts_of: |_, _| TraceOptions::default(), init, step };
+            traceroute_resumable_impl(&net, &pairs, &cfg, &profile, &retry, path, 3, &kind)
+                .expect("resumable campaign")
         };
 
         let full_path = tmp_path("ckpt_uninterrupted.txt");
@@ -1877,6 +1768,51 @@ mod tests {
         assert_eq!(report.offered, 0);
         assert_eq!(std::fs::read(&full_path).unwrap(), full_bytes);
         let _ = std::fs::remove_file(&full_path);
+    }
+
+    /// A checkpoint written by another campaign is never replayed: each
+    /// block pins its pair and the schedule, so rerunning over the
+    /// reversed pair list or the reversed protocol order re-measures every
+    /// pair and matches a fresh run, for traceroute and ping campaigns.
+    #[test]
+    fn checkpoint_of_another_campaign_is_re_measured() {
+        let net = network(42);
+        let pairs = full_mesh_pairs(4);
+        let reversed: Vec<_> = pairs.iter().rev().copied().collect();
+        let cfg = small_cfg(2);
+        let swapped = CampaignConfig { protocols: vec![Protocol::V6, Protocol::V4], ..cfg.clone() };
+        let opts = TraceOptions::default();
+        let init = |_, _, _| Vec::new();
+        let step =
+            |acc: &mut Vec<String>, rec: TracerouteRecord| acc.push(traceroute_to_line(&rec));
+        for (case, other_pairs, other_cfg) in
+            [("reversed pairs", &reversed, &cfg), ("reversed protocols", &pairs, &swapped)]
+        {
+            let path = tmp_path(&format!("ckpt_foreign_trace_{}.txt", case.replace(' ', "_")));
+            Campaign::new(cfg.clone())
+                .checkpoint(&path)
+                .run_traceroute(&net, &pairs, opts, init, step)
+                .unwrap();
+            let other = Campaign::new(other_cfg.clone());
+            let fresh = other.run_traceroute(&net, other_pairs, opts, init, step).unwrap();
+            let (accs, report) = other
+                .clone()
+                .checkpoint(&path)
+                .run_traceroute(&net, other_pairs, opts, init, step)
+                .unwrap();
+            assert_eq!(report.resumed_pairs, 0, "{case}: traceroute blocks replayed");
+            assert_eq!((accs, report), fresh, "{case}: traceroute run");
+            let _ = std::fs::remove_file(&path);
+
+            let path = tmp_path(&format!("ckpt_foreign_ping_{}.txt", case.replace(' ', "_")));
+            Campaign::new(cfg.clone()).checkpoint(&path).run_ping(&net, &pairs).unwrap();
+            let (fresh, fresh_report) = other.run_ping(&net, other_pairs).unwrap();
+            let (tls, report) = other.checkpoint(&path).run_ping(&net, other_pairs).unwrap();
+            assert_eq!(report.resumed_pairs, 0, "{case}: ping blocks replayed");
+            assert_eq!(timeline_bits(&tls), timeline_bits(&fresh), "{case}: ping run");
+            assert_eq!(report, fresh_report, "{case}: ping report");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     /// A panicking `step` under `.checkpoint()` poisons only its pair; the

@@ -3,7 +3,7 @@
 //! Every knob in the workspace goes through these helpers so malformed
 //! values behave uniformly: an *unset* variable silently takes its
 //! default, but a set-and-unusable value (`S2S_THREADS=abc`,
-//! `S2S_EPOCH_BATCH=0`) prints one warning to stderr and then takes the
+//! `S2S_FAULT_DROP=1.7`) prints one warning to stderr and then takes the
 //! default — it never panics, and it never silently does something other
 //! than what the operator asked without saying so.
 //!
@@ -141,7 +141,7 @@ pub fn var_flag(name: &str) -> bool {
     parse_flag(std::env::var(name).ok().as_deref())
 }
 
-/// The raw string an operator set for `name`, if any — for `--print-config`
+/// The raw string an operator set for `name`, if any — for `print-config`
 /// style dumps that want to show both the raw and the resolved value.
 pub fn var_raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
@@ -179,11 +179,11 @@ mod tests {
     #[test]
     fn minimum_is_enforced_with_warning() {
         let (v, w) =
-            parse_checked("S2S_EPOCH_BATCH", Some("0"), 9usize, |&v| v >= 1, "an integer >= 1");
+            parse_checked("S2S_SNAPSHOT_BLOCK", Some("0"), 9usize, |&v| v >= 1, "an integer >= 1");
         assert_eq!(v, 9);
-        assert!(w.unwrap().contains("S2S_EPOCH_BATCH=\"0\""));
+        assert!(w.unwrap().contains("S2S_SNAPSHOT_BLOCK=\"0\""));
         let (v, w) =
-            parse_checked("S2S_EPOCH_BATCH", Some("3"), 9usize, |&v| v >= 1, "an integer >= 1");
+            parse_checked("S2S_SNAPSHOT_BLOCK", Some("3"), 9usize, |&v| v >= 1, "an integer >= 1");
         assert_eq!(v, 3);
         assert!(w.is_none());
     }
