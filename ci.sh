@@ -41,6 +41,19 @@ S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
 # through to the output.
 grep -qE '^routing: .* [0-9]+ reused /' reproduce_smoke.txt
 grep -qE '^routing: .*path memo [0-9]+ hits / [0-9]+ builds' reproduce_smoke.txt
+# The dataset digest has its own span in the metrics snapshot.
+grep -q '"dataset.digest"' metrics.json
+
+echo "==> digest thread-count invariance: S2S_THREADS=1 and 3 print the same digest"
+# The dataset digest formats record blocks on S2S_THREADS workers and
+# folds them in record order; its value must not depend on the count.
+one_digest=$(grep 'long-term dataset digest:' reproduce_smoke.txt)
+for t in 1 3; do
+    t_digest=$(S2S_THREADS=$t S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 \
+        S2S_CONG_PAIRS=8 cargo run -q --release -p s2s-bench --bin reproduce -- run table1 |
+        grep 'long-term dataset digest:')
+    test -n "$one_digest" && test "$t_digest" = "$one_digest"
+done
 
 echo "==> fabric crash-matrix smoke: 4 workers, kill+crash schedule, byte-identity"
 # The same experiment sharded over 4 worker subprocesses, with a seeded
@@ -52,7 +65,6 @@ S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --workers 4 \
     --metrics-json metrics_fabric.json |
     tee reproduce_fabric.txt
-one_digest=$(grep 'long-term dataset digest:' reproduce_smoke.txt)
 fabric_digest=$(grep 'long-term dataset digest:' reproduce_fabric.txt)
 test -n "$one_digest" && test "$one_digest" = "$fabric_digest"
 grep -q 'recoveries' reproduce_fabric.txt

@@ -258,7 +258,11 @@ fn snapshot_main(path: &std::path::Path) -> ! {
         let mut reader = options.open(p).unwrap_or_else(|e| snapshot_open_fail(p, e));
         loop {
             match reader.next_batch() {
-                Ok(Some(batch)) => digest = fabric::store_digest_fold(digest, batch),
+                Ok(Some(batch)) => {
+                    digest = s2s_obs::timed("dataset.digest", || {
+                        fabric::store_digest_fold(digest, batch)
+                    });
+                }
                 Ok(None) => break,
                 Err(e) => snapshot_open_fail(p, e),
             }
@@ -368,7 +372,9 @@ fn run_main(run: cli::RunArgs) {
                 loop {
                     match reader.next_batch() {
                         Ok(Some(batch)) => {
-                            digest = fabric::store_digest_fold(digest, batch);
+                            digest = s2s_obs::timed("dataset.digest", || {
+                                fabric::store_digest_fold(digest, batch)
+                            });
                             hop_slots += batch.stats().hop_slots;
                         }
                         Ok(None) => break,

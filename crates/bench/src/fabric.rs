@@ -30,7 +30,7 @@ use crate::experiments::LongTermData;
 use crate::scenario::Scenario;
 use s2s_core::Analysis;
 use s2s_probe::campaign::lost_record;
-use s2s_probe::dataset::{traceroute_from_line, traceroute_to_line, write_traceroute_line};
+use s2s_probe::dataset::{traceroute_from_line, TraceLineWriter};
 use s2s_probe::fabric::{
     emit_shard, fnv64_bytes, shard_range, Frame, HeartbeatHandle, WorkerAssignment,
     ENV_CKPT_DIR, ENV_MODE, ENV_SHARDS, FNV64_OFFSET,
@@ -43,7 +43,7 @@ use s2s_probe::{
 use s2s_types::{ClusterId, SimTime};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Clean run: every shard accepted. Alias of
@@ -83,10 +83,11 @@ pub fn ping_mesh(scenario: &Scenario) -> (CampaignConfig, Vec<(ClusterId, Cluste
 /// byte-identity fingerprint `reproduce --workers` prints and the CI
 /// crash matrix compares against the one-process run. Line form (not
 /// arena bytes) so the fingerprint pins the observable record sequence,
-/// independent of intern-table layout. Streams each record's line through
-/// one reused buffer (folding the same `\n`
-/// [`s2s_probe::fabric::fnv64_lines`] folds), so a
-/// digest never materializes the dataset as a `Vec<String>`.
+/// independent of intern-table layout. Equal to
+/// [`s2s_probe::fabric::fnv64_lines`] over every record's
+/// [`traceroute_to_line`](s2s_probe::dataset::traceroute_to_line), but
+/// never materializes the dataset as a `Vec<String>` (see
+/// [`store_digest_fold`]).
 pub fn store_digest(store: &TraceStore) -> u64 {
     store_digest_fold(FNV64_OFFSET, store)
 }
@@ -96,16 +97,73 @@ pub fn store_digest(store: &TraceStore) -> u64 {
 /// folding per-batch buffers from a `SnapshotReader` in stream order
 /// yields exactly the digest of the materialized store — what lets
 /// `reproduce` fingerprint a snapshot it never holds in memory.
+///
+/// Lines are written straight from the store's columns
+/// ([`TraceLineWriter`]) in blocks of 64 records, formatted
+/// on `S2S_THREADS` workers and folded in record order on the caller, so
+/// the value is independent of the thread count.
 pub fn store_digest_fold(h: u64, store: &TraceStore) -> u64 {
-    let mut h = h;
-    let mut buf = String::new();
-    for v in store.iter() {
+    digest_fold_on(h, store, s2s_probe::env::threads())
+}
+
+/// Records per formatted digest block: large enough that handing a block
+/// between threads is noise next to formatting it (~0.2 ms of work per
+/// hand-off), small enough that the recycled block buffers (at most three
+/// per worker, ~30 KiB each at ~470 bytes a line) add little to the
+/// resident peak.
+const DIGEST_BLOCK: usize = 64;
+
+/// [`store_digest_fold`] on an explicit number of formatting threads.
+/// Block `b` goes to worker `b % threads`; each worker sends its blocks,
+/// in order, through a one-slot channel and takes emptied buffers back,
+/// so the caller can fold every block in record order while at most
+/// three buffers per worker exist. One thread, or a store that fits in
+/// one block, formats inline on the caller.
+fn digest_fold_on(mut h: u64, store: &TraceStore, threads: usize) -> u64 {
+    let blocks = store.len().div_ceil(DIGEST_BLOCK);
+    let format_block = |w: &mut TraceLineWriter<'_>, buf: &mut String, b: usize| {
         buf.clear();
-        write_traceroute_line(&mut buf, &v.to_record());
-        h = fnv64_bytes(h, buf.as_bytes());
-        h = fnv64_bytes(h, b"\n");
+        for i in b * DIGEST_BLOCK..((b + 1) * DIGEST_BLOCK).min(store.len()) {
+            w.write(buf, store.view(i));
+            buf.push('\n');
+        }
+    };
+    let threads = threads.min(blocks);
+    if threads <= 1 {
+        let mut w = TraceLineWriter::new(store);
+        let mut buf = String::new();
+        for b in 0..blocks {
+            format_block(&mut w, &mut buf, b);
+            h = fnv64_bytes(h, buf.as_bytes());
+        }
+        return h;
     }
-    h
+    std::thread::scope(|s| {
+        let lanes: Vec<_> = (0..threads)
+            .map(|lane| {
+                let (full_tx, full_rx) = mpsc::sync_channel::<String>(1);
+                let (empty_tx, empty_rx) = mpsc::channel::<String>();
+                s.spawn(move || {
+                    let mut w = TraceLineWriter::new(store);
+                    for b in (lane..blocks).step_by(threads) {
+                        let mut buf = empty_rx.try_recv().unwrap_or_default();
+                        format_block(&mut w, &mut buf, b);
+                        if full_tx.send(buf).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (full_rx, empty_tx)
+            })
+            .collect();
+        for b in 0..blocks {
+            let (full_rx, empty_tx) = &lanes[b % threads];
+            let buf = full_rx.recv().expect("digest worker panicked");
+            h = fnv64_bytes(h, buf.as_bytes());
+            let _ = empty_tx.send(buf);
+        }
+        h
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -172,11 +230,15 @@ impl WorkerMode for LongTermMode {
         )?;
         // Archived line form, in accumulator order — exactly the record
         // sequence the one-process absorb loop sees for this slice.
-        let lines = stores
-            .iter()
-            .flat_map(|st| st.to_records())
-            .map(|rec| traceroute_to_line(&rec))
-            .collect();
+        let mut lines = Vec::with_capacity(stores.iter().map(TraceStore::len).sum());
+        for st in &stores {
+            let mut w = TraceLineWriter::new(st);
+            for v in st.iter() {
+                let mut line = String::new();
+                w.write(&mut line, v);
+                lines.push(line);
+            }
+        }
         Ok((lines, report))
     }
 }
@@ -427,7 +489,7 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
     if let Some(reg) = s2s_obs::installed() {
         outcome.stats.publish(&reg, &outcome.shards);
     }
-    let digest = store_digest(&store);
+    let digest = s2s_obs::timed("dataset.digest", || store_digest(&store));
     let timelines = Analysis::new(&store).timelines(&scenario.ip2asn);
     let data =
         LongTermData { pairs, timelines, report, arena: Some(store.stats()) };
@@ -446,7 +508,7 @@ pub fn collect_longterm_digest(
     let pairs = longterm_pairs(scenario);
     let (store, report) =
         scenario.long_term_store_faulty(&pairs, profile, &RetryPolicy::default());
-    let digest = store_digest(&store);
+    let digest = s2s_obs::timed("dataset.digest", || store_digest(&store));
     let timelines = Analysis::new(&store).timelines(&scenario.ip2asn);
     let data = LongTermData { pairs, timelines, report, arena: Some(store.stats()) };
     (data, digest, store)
@@ -488,6 +550,7 @@ pub fn collect_ping_fabric<L: WorkerLauncher>(
 mod tests {
     use super::*;
     use crate::scenario::Scale;
+    use s2s_probe::dataset::traceroute_to_line;
 
     fn micro_scenario() -> Scenario {
         Scenario::build(Scale {
@@ -561,11 +624,56 @@ mod tests {
         }
     }
 
+    /// A synthetic store of `n` records with every optional field shape:
+    /// unresponsive hops (`NO_ADDR`), hops without an RTT, a missing e2e
+    /// RTT, no hops, and IPv6 addresses.
+    fn edge_case_records(n: usize) -> Vec<s2s_probe::TracerouteRecord> {
+        use s2s_probe::HopObs;
+        use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+        (0..n)
+            .map(|i| {
+                let v6 = i % 3 == 0;
+                let addr = |k: usize| -> IpAddr {
+                    if v6 {
+                        Ipv6Addr::new(0x2600, (i % 7) as u16, 0, 0, 0, 0, 0, k as u16).into()
+                    } else {
+                        Ipv4Addr::new(10, (i % 5) as u8, 0, k as u8).into()
+                    }
+                };
+                let hops = (0..i % 9)
+                    .map(|k| HopObs {
+                        addr: (k % 4 != 2).then(|| addr(k)),
+                        rtt_ms: (k % 3 != 1).then(|| (i * 7 + k) as f64 / 3.0),
+                    })
+                    .collect();
+                s2s_probe::TracerouteRecord {
+                    src: ClusterId::new((i % 11) as u32),
+                    dst: ClusterId::new((i % 13) as u32),
+                    proto: if v6 {
+                        s2s_types::Protocol::V6
+                    } else {
+                        s2s_types::Protocol::V4
+                    },
+                    t: SimTime::from_minutes(i as u32 * 180),
+                    hops,
+                    reached: i % 4 != 3,
+                    e2e_rtt_ms: (i % 4 != 3).then_some(i as f64 * 0.1),
+                    src_addr: Some(addr(100)),
+                    dst_addr: (i % 4 != 3).then(|| addr(101)),
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn store_digest_streams_identically_to_line_materialization() {
         // Regression pin: the digest used to materialize every record as
-        // a String and hash the Vec; the streaming path must produce the
-        // exact same value.
+        // a String and hash the Vec; the streaming, block-parallel path
+        // must produce the exact same value at every thread count.
+        let lines_digest = |records: &[s2s_probe::TracerouteRecord]| {
+            let lines: Vec<String> = records.iter().map(traceroute_to_line).collect();
+            s2s_probe::fabric::fnv64_lines(&lines)
+        };
         let scenario = micro_scenario();
         let (store, _) = scenario.long_term_store_faulty(
             &longterm_pairs(&scenario),
@@ -573,10 +681,36 @@ mod tests {
             &RetryPolicy::default(),
         );
         assert!(!store.is_empty());
-        let lines: Vec<String> =
-            store.to_records().iter().map(traceroute_to_line).collect();
-        assert_eq!(store_digest(&store), s2s_probe::fabric::fnv64_lines(&lines));
-        assert_eq!(store_digest(&TraceStore::new()), FNV64_OFFSET);
+        // More than two full blocks plus a partial one.
+        let edge = edge_case_records(2 * DIGEST_BLOCK + DIGEST_BLOCK / 2 + 1);
+        let edge_store = TraceStore::from_records(&edge);
+        assert!(edge_store.iter().any(|v| v.hop_len() == 0));
+        assert!(edge_store
+            .iter()
+            .any(|v| v.hop_ids().contains(&s2s_probe::store::NO_ADDR)));
+        assert!(edge_store
+            .iter()
+            .any(|v| (0..v.hop_len()).any(|k| v.hop_rtt_ms(k).is_none())));
+        assert!(edge_store.iter().any(|v| v.e2e_rtt_ms().is_none()));
+        for (store, want) in [
+            (&store, lines_digest(&store.to_records())),
+            (&edge_store, lines_digest(&edge)),
+        ] {
+            for threads in [1, 2, 3] {
+                assert_eq!(
+                    digest_fold_on(FNV64_OFFSET, store, threads),
+                    want,
+                    "{threads} threads"
+                );
+            }
+            assert_eq!(store_digest(store), want);
+        }
+        for threads in [1, 2, 3] {
+            assert_eq!(
+                digest_fold_on(FNV64_OFFSET, &TraceStore::new(), threads),
+                FNV64_OFFSET
+            );
+        }
     }
 
     #[test]

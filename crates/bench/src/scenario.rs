@@ -219,10 +219,15 @@ impl Scenario {
                 |st, rec| st.push(&rec),
             )
             .expect("in-memory campaign cannot fail");
-        let mut merged = TraceStore::new();
-        for st in &stores {
-            merged.absorb(st);
-        }
+        // Consuming absorb: each per-(pair, protocol) store is freed as soon
+        // as it is merged, so the peak stays near one arena, not two.
+        let merged = s2s_obs::timed("store.absorb", || {
+            let mut merged = TraceStore::new();
+            for st in stores {
+                merged.absorb(&st);
+            }
+            merged
+        });
         (merged, report)
     }
 

@@ -31,6 +31,7 @@ use crate::scenario::Scenario;
 use s2s_core::congestion::{detect_profile, DetectParams};
 use s2s_core::{Analysis, IncrementalState};
 use s2s_probe::env::ResolvedKnob;
+use s2s_probe::fabric::FNV64_OFFSET;
 use s2s_probe::{
     snapshot, Campaign, CampaignConfig, CampaignReport, FaultProfile, PairProfile,
     PairProfileSink, RetryPolicy, StreamSink, TraceStore,
@@ -261,9 +262,16 @@ impl<'a> Service<'a> {
     }
 
     /// The dataset digest so far — comparable against the `long-term
-    /// dataset digest` line a batch `reproduce run` prints.
+    /// dataset digest` line a batch `reproduce run` prints. Folded over
+    /// the slot stores in slot order, which equals the digest of
+    /// [`Service::merged_store`] (absorb keeps record order) without
+    /// building the merge.
     pub fn digest(&self) -> u64 {
-        store_digest(&self.merged_store())
+        s2s_obs::timed("dataset.digest", || {
+            self.substores
+                .iter()
+                .fold(FNV64_OFFSET, fabric::store_digest_fold)
+        })
     }
 
     /// Flushes a checkpoint: the merged store plus sink lines (one
@@ -814,6 +822,11 @@ mod tests {
             let mut svc = Service::new(&scenario, cfg_with(profile, None));
             while svc.advance() {}
             assert_eq!(svc.digest(), batch_digest, "dataset digest diverged");
+            assert_eq!(
+                svc.digest(),
+                store_digest(&svc.merged_store()),
+                "slot-store digest fold must equal the merged store's digest"
+            );
             assert_eq!(
                 format!("{:?}", svc.merged_store().iter().map(|v| v.to_record()).collect::<Vec<_>>()),
                 format!("{:?}", batch_store.iter().map(|v| v.to_record()).collect::<Vec<_>>()),

@@ -7,6 +7,7 @@
 //! `*` for missing values — the same spirit as scamper's text output.
 
 use crate::records::{HopObs, TracerouteRecord};
+use crate::store::{IdIndex, TraceStore, TraceView, NO_ADDR};
 use crate::PingTimeline;
 use s2s_types::{ClusterId, Protocol, SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -29,10 +30,6 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-fn opt<T: ToString>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "*".into())
-}
 
 fn parse_opt<T: FromStr>(s: &str) -> Result<Option<T>, String> {
     if s == "*" {
@@ -76,23 +73,162 @@ pub fn traceroute_to_line(r: &TracerouteRecord) -> String {
 /// loops reuse one buffer across millions of records instead of
 /// materializing a `String` per record.
 pub fn write_traceroute_line(buf: &mut String, r: &TracerouteRecord) {
+    let head = LineHead {
+        src: r.src,
+        dst: r.dst,
+        proto: r.proto,
+        t: r.t,
+        reached: r.reached,
+        e2e_rtt_ms: r.e2e_rtt_ms,
+    };
+    let hops = r.hops.iter().map(|h| (h.addr, h.rtt_ms));
+    write_line(buf, &head, [r.src_addr, r.dst_addr], hops, write_opt_addr);
+}
+
+/// Writes archive lines straight from a [`TraceStore`]'s columns: the
+/// view-based twin of [`write_traceroute_line`], for digest and export
+/// loops over a whole store. Each interned address is rendered once per
+/// writer, on first use, and its text reused for every later hop that
+/// names it — so rendering costs in proportion to the records written,
+/// never to the size of the store's address table.
+pub struct TraceLineWriter<'a> {
+    store: &'a TraceStore,
+    /// Rendered address text, back to back.
+    text: String,
+    /// Per rendered address: its id and its `[start, end)` in `text`.
+    rendered: Vec<(u32, usize, usize)>,
+    /// Address id → index into `rendered`.
+    index: IdIndex,
+}
+
+impl<'a> TraceLineWriter<'a> {
+    /// A writer for views of `store`.
+    pub fn new(store: &'a TraceStore) -> TraceLineWriter<'a> {
+        TraceLineWriter {
+            store,
+            text: String::new(),
+            rendered: Vec::new(),
+            index: IdIndex::default(),
+        }
+    }
+
+    /// Appends `v`'s archive line (no trailing newline) to `buf` —
+    /// byte-equal to [`write_traceroute_line`] of `v.to_record()`, without
+    /// materializing the record. `v` must be a view of this writer's store.
+    pub fn write(&mut self, buf: &mut String, v: TraceView<'_>) {
+        assert!(
+            std::ptr::eq(v.store, self.store),
+            "view of a different store"
+        );
+        let head = LineHead {
+            src: v.src(),
+            dst: v.dst(),
+            proto: v.proto(),
+            t: v.t(),
+            reached: v.reached(),
+            e2e_rtt_ms: v.e2e_rtt_ms(),
+        };
+        let hops = v
+            .hop_ids()
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| (id, v.hop_rtt_ms(k)));
+        let ends = [v.src_addr_id(), v.dst_addr_id()];
+        write_line(buf, &head, ends, hops, |buf, id| self.write_addr(buf, id));
+    }
+
+    fn write_addr(&mut self, buf: &mut String, id: u32) {
+        if id == NO_ADDR {
+            buf.push('*');
+            return;
+        }
+        let h = addr_id_hash(id);
+        let rendered = &self.rendered;
+        let slot = match self.index.get(h, |e| rendered[e as usize].0 == id) {
+            Some(e) => e as usize,
+            None => {
+                let start = self.text.len();
+                let _ = write!(self.text, "{}", self.store.addr(id));
+                let e = self.rendered.len();
+                self.rendered.push((id, start, self.text.len()));
+                let rendered = &self.rendered;
+                self.index
+                    .insert(h, e as u32, |e| addr_id_hash(rendered[e as usize].0));
+                e
+            }
+        };
+        let (_, a, b) = self.rendered[slot];
+        buf.push_str(&self.text[a..b]);
+    }
+}
+
+/// Spreads an address id over the index's low bits.
+fn addr_id_hash(id: u32) -> u64 {
+    u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 29
+}
+
+/// The scalar fields that open a traceroute line.
+struct LineHead {
+    src: ClusterId,
+    dst: ClusterId,
+    proto: Protocol,
+    t: SimTime,
+    reached: bool,
+    e2e_rtt_ms: Option<f64>,
+}
+
+/// The one definition of the traceroute line format, generic over how an
+/// address is held (`Option<IpAddr>` in a record, an interned id in a
+/// store) and written.
+fn write_line<A>(
+    buf: &mut String,
+    head: &LineHead,
+    ends: [A; 2],
+    hops: impl Iterator<Item = (A, Option<f64>)>,
+    mut write_addr: impl FnMut(&mut String, A),
+) {
     let _ = write!(
         buf,
-        "T|{}|{}|{}|{}|{}|{}|{}|{}|",
-        r.src.0,
-        r.dst.0,
-        proto_tag(r.proto),
-        r.t.minutes(),
-        u8::from(r.reached),
-        opt(r.e2e_rtt_ms),
-        opt(r.src_addr),
-        opt(r.dst_addr),
+        "T|{}|{}|{}|{}|{}|",
+        head.src.0,
+        head.dst.0,
+        proto_tag(head.proto),
+        head.t.minutes(),
+        u8::from(head.reached),
     );
-    for (i, h) in r.hops.iter().enumerate() {
+    write_opt_rtt(buf, head.e2e_rtt_ms);
+    for a in ends {
+        buf.push('|');
+        write_addr(buf, a);
+    }
+    buf.push('|');
+    for (i, (addr, rtt)) in hops.enumerate() {
         if i > 0 {
             buf.push(';');
         }
-        let _ = write!(buf, "{},{}", opt(h.addr), opt(h.rtt_ms));
+        write_addr(buf, addr);
+        buf.push(',');
+        write_opt_rtt(buf, rtt);
+    }
+}
+
+/// An optional RTT field: `{}` (shortest round-trip decimal) or `*`.
+fn write_opt_rtt(buf: &mut String, v: Option<f64>) {
+    match v {
+        Some(x) => {
+            let _ = write!(buf, "{x}");
+        }
+        None => buf.push('*'),
+    }
+}
+
+/// An optional address field: its `Display` text or `*`.
+fn write_opt_addr(buf: &mut String, v: Option<IpAddr>) {
+    match v {
+        Some(a) => {
+            let _ = write!(buf, "{a}");
+        }
+        None => buf.push('*'),
     }
 }
 
@@ -566,6 +702,70 @@ mod tests {
             buf.clear();
             write_traceroute_line(&mut buf, r);
             assert_eq!(buf, traceroute_to_line(r), "reused buffer must agree");
+        }
+    }
+
+    /// `n` records cycling through every field shape the line format has:
+    /// unresponsive hops, hops without an RTT, a missing e2e RTT, no hops,
+    /// unset endpoint addresses, IPv6, and RTTs whose shortest decimal is
+    /// long, tiny or huge.
+    fn edge_case_records(n: usize) -> Vec<TracerouteRecord> {
+        (0..n)
+            .map(|i| {
+                let v6 = i % 3 == 0;
+                let addr = |k: usize| -> IpAddr {
+                    if v6 {
+                        format!("2600:{:x}::{:x}", i % 7, k).parse().unwrap()
+                    } else {
+                        format!("10.{}.0.{}", i % 5, k).parse().unwrap()
+                    }
+                };
+                let rtt = |k: usize| match (i + k) % 4 {
+                    0 => 1.0 / 3.0 + (i * 7 + k) as f64,
+                    1 => 1e-7 * (k + 1) as f64,
+                    2 => 1e21 + (i as f64),
+                    _ => 42.5,
+                };
+                TracerouteRecord {
+                    src: ClusterId::new((i % 11) as u32),
+                    dst: ClusterId::new((i % 13) as u32),
+                    proto: if v6 { Protocol::V6 } else { Protocol::V4 },
+                    t: SimTime::from_minutes(i as u32 * 180),
+                    hops: (0..i % 9)
+                        .map(|k| HopObs {
+                            addr: (k % 4 != 2).then(|| addr(k)),
+                            rtt_ms: (k % 3 != 1).then(|| rtt(k)),
+                        })
+                        .collect(),
+                    reached: i % 4 != 3,
+                    e2e_rtt_ms: (i % 4 != 3).then(|| rtt(99)),
+                    src_addr: (i % 6 != 5).then(|| addr(100)),
+                    dst_addr: (i % 5 != 4).then(|| addr(101)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trace_line_writer_matches_record_writer() {
+        let records = edge_case_records(200);
+        assert!(records.iter().any(|r| r.hops.is_empty()));
+        assert!(records
+            .iter()
+            .any(|r| r.hops.iter().any(|h| h.addr.is_none())));
+        assert!(records
+            .iter()
+            .any(|r| r.hops.iter().any(|h| h.rtt_ms.is_none())));
+        let store = TraceStore::from_records(&records);
+        let mut w = TraceLineWriter::new(&store);
+        let mut buf = String::new();
+        for (v, r) in store.iter().zip(&records) {
+            buf.clear();
+            w.write(&mut buf, v);
+            assert_eq!(buf, traceroute_to_line(r), "view writer diverged");
+            buf.clear();
+            write_traceroute_line(&mut buf, &v.to_record());
+            assert_eq!(buf, traceroute_to_line(r), "record writer diverged");
         }
     }
 

@@ -50,7 +50,7 @@ impl Default for IdIndex {
 }
 
 impl IdIndex {
-    fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -64,7 +64,7 @@ impl IdIndex {
 
     /// Inserts a new id (the caller has already checked it is absent).
     /// `hash_of` recomputes a stored id's hash when the table grows.
-    fn insert(&mut self, hash: u64, id: u32, mut hash_of: impl FnMut(u32) -> u64) {
+    pub(crate) fn insert(&mut self, hash: u64, id: u32, mut hash_of: impl FnMut(u32) -> u64) {
         if (self.len + 1) * 3 >= self.slots.len() * 2 {
             let cap = (self.len + 1).next_power_of_two() * 2;
             let old = std::mem::replace(&mut self.slots, vec![0; cap]);
@@ -505,7 +505,7 @@ impl TraceStore {
 /// Zero-copy accessor for one trace in a [`TraceStore`].
 #[derive(Clone, Copy)]
 pub struct TraceView<'a> {
-    store: &'a TraceStore,
+    pub(crate) store: &'a TraceStore,
     i: usize,
 }
 
