@@ -43,6 +43,9 @@ grep -qE '^routing: .* [0-9]+ reused /' reproduce_smoke.txt
 grep -qE '^routing: .*path memo [0-9]+ hits / [0-9]+ builds' reproduce_smoke.txt
 # The dataset digest has its own span in the metrics snapshot.
 grep -q '"dataset.digest"' metrics.json
+# Route computation keeps its span, which the per-layer ledger reads
+# as `routing.route_compute_s`.
+grep -q '"oracle.route_compute"' metrics.json
 
 echo "==> digest thread-count invariance: S2S_THREADS=1 and 3 print the same digest"
 # The dataset digest formats record blocks on S2S_THREADS workers and

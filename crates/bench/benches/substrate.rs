@@ -31,9 +31,7 @@ fn bench_routing(c: &mut Criterion) {
         blocked.insert(id);
     }
     c.bench_function("routing/compute_routes_masked", |b| {
-        b.iter(|| {
-            compute_routes_masked(black_box(&topo.as_adj), &edges, black_box(&blocked), 3, 0)
-        })
+        b.iter(|| compute_routes_masked(&edges, black_box(&blocked), black_box(3), 0))
     });
     let scenario = Scenario::build(Scale::smoke());
     // A real expansion every time: the path memo is bypassed.

@@ -157,57 +157,6 @@ pub fn colocated_pairs(topo: &s2s_topology::Topology) -> Vec<(ClusterId, Cluster
     v
 }
 
-/// The plain (fault-free) epoch-batched parallel runner. The builder
-/// always routes through the fault-aware executor core (an all-zero
-/// profile is a no-op by construction); this one survives as the
-/// independent baseline the internal zero-fault equivalence tests compare
-/// against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn traceroute_with_impl<A, O, I, S>(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    opts_of: O,
-    init: I,
-    step: S,
-) -> Vec<A>
-where
-    A: Send,
-    O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
-    I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
-    S: Fn(&mut A, TracerouteRecord) + Sync,
-{
-    let (times, runs) = s2s_obs::timed("campaign.plan", || {
-        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-        let runs = epoch_runs(net, &times);
-        (times, runs)
-    });
-    let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
-    s2s_obs::timed("campaign.execute", || {
-        let work = move |chunk: &[(ClusterId, ClusterId)]| {
-            let mut accs: Vec<A> = chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect();
-            let order = dst_batched_order(net, chunk);
-            for run in runs.iter() {
-                for &pi in &order {
-                    let (src, dst) = chunk[pi];
-                    for ti in run.clone() {
-                        let t = times[ti];
-                        for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                            let rec = trace(net, src, dst, proto, t, opts_of(t, proto));
-                            step(&mut accs[pi * cfg.protocols.len() + qi], rec);
-                        }
-                    }
-                }
-            }
-            (accs, CampaignReport::default())
-        };
-        run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
-    })
-}
-
 /// One (pair, protocol) ping timeline: a slot per sampling instant, `NaN`
 /// for lost probes (kept dense so FFTs index by time directly).
 #[derive(Clone, Debug)]
@@ -257,46 +206,6 @@ impl PingTimeline {
                 .collect(),
         )
     }
-}
-
-/// The plain (fault-free) parallel ping runner — the independent baseline
-/// of the internal zero-fault equivalence tests (the builder always routes
-/// through the fault-aware executor core).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn ping_impl(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-) -> Vec<PingTimeline> {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let times = &times;
-    let work = move |chunk: &[(ClusterId, ClusterId)]| {
-        let mut out: Vec<PingTimeline> = chunk
-            .iter()
-            .flat_map(|&(s, d)| {
-                cfg.protocols.iter().map(move |&p| PingTimeline {
-                    src: s,
-                    dst: d,
-                    proto: p,
-                    start: cfg.start,
-                    interval: cfg.interval,
-                    rtts: Vec::with_capacity(times.len()),
-                })
-            })
-            .collect();
-        for (ti, &t) in times.iter().enumerate() {
-            for (pi, &(src, dst)) in chunk.iter().enumerate() {
-                for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                    let rtt = net.ping(src, dst, proto, t, ti as u64);
-                    out[pi * cfg.protocols.len() + qi]
-                        .rtts
-                        .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
-                }
-            }
-        }
-        (out, CampaignReport::default())
-    };
-    run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
 }
 
 /// Convenience: a single ping as a [`PingRecord`].
@@ -1327,6 +1236,92 @@ mod tests {
             truncate_rate: 0.05,
             ..FaultProfile::default()
         }
+    }
+
+    /// The plain (fault-free) epoch-batched parallel runner: the independent
+    /// baseline the zero-fault equivalence tests compare the fault-aware
+    /// executor core against (an all-zero profile is a no-op by construction).
+    fn traceroute_with_impl<A, O, I, S>(
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        cfg: &CampaignConfig,
+        opts_of: O,
+        init: I,
+        step: S,
+    ) -> Vec<A>
+    where
+        A: Send,
+        O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
+        I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
+        S: Fn(&mut A, TracerouteRecord) + Sync,
+    {
+        let (times, runs) = s2s_obs::timed("campaign.plan", || {
+            let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
+            let runs = epoch_runs(net, &times);
+            (times, runs)
+        });
+        let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
+        s2s_obs::timed("campaign.execute", || {
+            let work = move |chunk: &[(ClusterId, ClusterId)]| {
+                let mut accs: Vec<A> = chunk
+                    .iter()
+                    .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
+                    .collect();
+                let order = dst_batched_order(net, chunk);
+                for run in runs.iter() {
+                    for &pi in &order {
+                        let (src, dst) = chunk[pi];
+                        for ti in run.clone() {
+                            let t = times[ti];
+                            for (qi, &proto) in cfg.protocols.iter().enumerate() {
+                                let rec = trace(net, src, dst, proto, t, opts_of(t, proto));
+                                step(&mut accs[pi * cfg.protocols.len() + qi], rec);
+                            }
+                        }
+                    }
+                }
+                (accs, CampaignReport::default())
+            };
+            run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
+        })
+    }
+
+    /// The plain (fault-free) parallel ping runner, the ping counterpart of
+    /// [`traceroute_with_impl`].
+    fn ping_impl(
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        cfg: &CampaignConfig,
+    ) -> Vec<PingTimeline> {
+        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
+        let times = &times;
+        let work = move |chunk: &[(ClusterId, ClusterId)]| {
+            let mut out: Vec<PingTimeline> = chunk
+                .iter()
+                .flat_map(|&(s, d)| {
+                    cfg.protocols.iter().map(move |&p| PingTimeline {
+                        src: s,
+                        dst: d,
+                        proto: p,
+                        start: cfg.start,
+                        interval: cfg.interval,
+                        rtts: Vec::with_capacity(times.len()),
+                    })
+                })
+                .collect();
+            for (ti, &t) in times.iter().enumerate() {
+                for (pi, &(src, dst)) in chunk.iter().enumerate() {
+                    for (qi, &proto) in cfg.protocols.iter().enumerate() {
+                        let rtt = net.ping(src, dst, proto, t, ti as u64);
+                        out[pi * cfg.protocols.len() + qi]
+                            .rtts
+                            .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
+                    }
+                }
+            }
+            (out, CampaignReport::default())
+        };
+        run_partitioned_isolated(pairs, cfg, work, |_| Vec::new()).0
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {

@@ -175,7 +175,7 @@ impl SnapshotReport {
 
     /// Trace coverage of the snapshot: loaded over (loaded + skipped).
     pub fn coverage(&self) -> Coverage {
-        Coverage::new(self.traces, self.traces + self.skipped_traces)
+        Coverage::new(self.traces, self.traces.saturating_add(self.skipped_traces))
     }
 
     /// Whether the open lost nothing.
@@ -192,9 +192,9 @@ impl SnapshotReport {
     /// [`SnapshotReport::MAX_SAMPLED_ERRORS`] across all shards.
     pub fn merge(&mut self, other: &SnapshotReport) {
         self.traces += other.traces;
-        self.skipped_traces += other.skipped_traces;
+        self.skipped_traces = self.skipped_traces.saturating_add(other.skipped_traces);
         self.sinks += other.sinks;
-        self.skipped_sinks += other.skipped_sinks;
+        self.skipped_sinks = self.skipped_sinks.saturating_add(other.skipped_sinks);
         self.skipped_segments += other.skipped_segments;
         self.torn |= other.torn;
         self.empty |= other.empty;
@@ -283,6 +283,12 @@ impl<'a> Cursor<'a> {
 
     fn done(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// A capacity for `count` records of at least `min_bytes` each: no
+    /// more than the bytes left could hold, whatever `count` claims.
+    fn capacity_for(&self, count: u64, min_bytes: usize) -> usize {
+        count_of(count).min((self.buf.len() - self.pos) / min_bytes)
     }
 }
 
@@ -498,24 +504,29 @@ fn read_header<R: Read>(r: &mut R) -> io::Result<HeaderRead> {
     }))
 }
 
-/// Reads exactly `len` payload bytes; `Ok(None)` marks a torn tail.
+/// The most a segment header's `len` reserves ahead of the bytes read.
+const PAYLOAD_RESERVE: u64 = 1 << 24;
+
+/// Reads exactly `len` payload bytes; `Ok(None)` marks a torn tail. The
+/// header checksum guards `len` only against bit rot, so `len` reserves at
+/// most [`PAYLOAD_RESERVE`] bytes up front and the buffer grows past that
+/// only with the bytes actually read.
 fn read_payload<R: Read>(r: &mut R, len: u64) -> io::Result<Option<Vec<u8>>> {
-    let len = len as usize;
-    let mut buf = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        let n = r.read(&mut buf[got..])?;
-        if n == 0 {
-            return Ok(None);
-        }
-        got += n;
-    }
-    Ok(Some(buf))
+    let mut buf = Vec::with_capacity(len.min(PAYLOAD_RESERVE) as usize);
+    r.by_ref().take(len).read_to_end(&mut buf)?;
+    Ok((buf.len() as u64 == len).then_some(buf))
+}
+
+/// A header's record count as a `usize`, saturating: a count no payload
+/// could hold still adds up without overflowing.
+fn count_of(count: u64) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX)
 }
 
 fn decode_addrs(payload: &[u8], count: u64) -> Result<Vec<IpAddr>, String> {
     let mut c = Cursor::new(payload);
-    let mut addrs = Vec::with_capacity(count as usize);
+    // An address is a family tag plus at least four bytes.
+    let mut addrs = Vec::with_capacity(c.capacity_for(count, 5));
     for _ in 0..count {
         let addr = match c.u8()? {
             4 => IpAddr::from(<[u8; 4]>::try_from(c.take(4)?).unwrap()),
@@ -536,8 +547,8 @@ fn decode_seqs(
     addr_count: usize,
 ) -> Result<(Vec<u32>, Vec<u32>), String> {
     let mut c = Cursor::new(payload);
-    let data_len = c.u64()? as usize;
-    let mut data = Vec::with_capacity(data_len);
+    let data_len = c.u64()?;
+    let mut data = Vec::with_capacity(c.capacity_for(data_len, 4));
     for _ in 0..data_len {
         let id = c.u32()?;
         if id != crate::store::NO_ADDR && id as usize >= addr_count {
@@ -545,16 +556,16 @@ fn decode_seqs(
         }
         data.push(id);
     }
-    let mut offsets = Vec::with_capacity(count as usize + 1);
+    let mut offsets = Vec::with_capacity(c.capacity_for(count, 4) + 1);
     offsets.push(0u32);
     for _ in 0..count {
         let end = c.u32()?;
-        if (end as usize) < *offsets.last().unwrap() as usize || end as usize > data_len {
+        if end < *offsets.last().unwrap() || u64::from(end) > data_len {
             return Err("sequence offsets not monotonic".into());
         }
         offsets.push(end);
     }
-    if *offsets.last().unwrap() as usize != data_len {
+    if u64::from(*offsets.last().unwrap()) != data_len {
         return Err("sequence arena length mismatch".into());
     }
     if !c.done() {
@@ -567,7 +578,7 @@ fn decode_seqs(
 /// against the already-loaded arenas before anything is pushed, so a
 /// failed block leaves the store untouched.
 fn decode_block(store: &mut TraceStore, payload: &[u8], count: u64) -> Result<(), String> {
-    let n = count as usize;
+    let n = count_of(count);
     let mut c = Cursor::new(payload);
     let srcs = c.u32s(n)?;
     let dsts = c.u32s(n)?;
@@ -627,7 +638,8 @@ fn decode_block(store: &mut TraceStore, payload: &[u8], count: u64) -> Result<()
 
 fn decode_sinks(payload: &[u8], count: u64) -> Result<Vec<String>, String> {
     let mut c = Cursor::new(payload);
-    let mut sinks = Vec::with_capacity(count as usize);
+    // A sink state is a length word plus its bytes.
+    let mut sinks = Vec::with_capacity(c.capacity_for(count, 4));
     for _ in 0..count {
         let len = c.u32()? as usize;
         let bytes = c.take(len)?;
@@ -898,10 +910,10 @@ impl<R: Read> SnapshotReader<R> {
             self.report.torn = true;
         }
         if let Some((total_traces, total_sinks)) = self.end_totals {
-            let seen = self.report.traces + self.report.skipped_traces;
-            self.report.skipped_traces += (total_traces as usize).saturating_sub(seen);
-            let seen_sinks = self.report.sinks + self.report.skipped_sinks;
-            self.report.skipped_sinks += (total_sinks as usize).saturating_sub(seen_sinks);
+            let seen = self.report.traces.saturating_add(self.report.skipped_traces);
+            self.report.skipped_traces += count_of(total_traces).saturating_sub(seen);
+            let seen_sinks = self.report.sinks.saturating_add(self.report.skipped_sinks);
+            self.report.skipped_sinks += count_of(total_sinks).saturating_sub(seen_sinks);
         }
     }
 
@@ -990,11 +1002,7 @@ impl<R: Read> SnapshotReader<R> {
             Some(p) => p,
             None => {
                 self.report.skipped_segments += 1;
-                if header.tag == TAG_BLOCK {
-                    self.report.skipped_traces += header.count as usize;
-                } else if header.tag == TAG_SINK {
-                    self.report.skipped_sinks += header.count as usize;
-                }
+                self.skip_records(&header);
                 self.report.note(format!("torn payload in segment tag {}", header.tag));
                 self.finish();
                 return Ok(());
@@ -1036,11 +1044,9 @@ impl<R: Read> SnapshotReader<R> {
         };
         if let Err(msg) = outcome {
             self.report.skipped_segments += 1;
-            match header.tag {
-                TAG_BLOCK => self.report.skipped_traces += header.count as usize,
-                TAG_SINK => self.report.skipped_sinks += header.count as usize,
-                TAG_ADDR | TAG_SEQ => self.poisoned = true,
-                _ => {}
+            self.skip_records(&header);
+            if header.tag == TAG_ADDR || header.tag == TAG_SEQ {
+                self.poisoned = true;
             }
             self.report.note(format!("segment tag {}: {msg}", header.tag));
         }
@@ -1048,6 +1054,16 @@ impl<R: Read> SnapshotReader<R> {
             self.finish();
         }
         Ok(())
+    }
+
+    /// Counts a lost `BLOCK`'s traces or `SINK`'s states as skipped.
+    fn skip_records(&mut self, header: &SegmentHeader) {
+        let skipped = match header.tag {
+            TAG_BLOCK => &mut self.report.skipped_traces,
+            TAG_SINK => &mut self.report.skipped_sinks,
+            _ => return,
+        };
+        *skipped = skipped.saturating_add(count_of(header.count));
     }
 
     fn check_strict(&self) -> io::Result<()> {
@@ -1385,6 +1401,68 @@ mod tests {
                 Err(_) => assert!(pos < 12 + HEADER_BYTES + buf.len()),
             }
         }
+    }
+
+    /// A prologue and one segment whose header checksum is valid for
+    /// whatever `count` and `len` it claims, followed by `payload`.
+    fn crafted_segment(tag: u32, count: u64, len: u64, payload: &[u8]) -> Vec<u8> {
+        let mut header = Vec::new();
+        put_u32(&mut header, tag);
+        put_u64(&mut header, count);
+        put_u64(&mut header, len);
+        put_u64(&mut header, fnv64(payload));
+        let hfnv = fnv64(&header);
+        put_u64(&mut header, hfnv);
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn oversized_header_counts_and_lengths_are_counted_skips() {
+        // Well-formed payloads: one IPv4 address, an empty sequence arena
+        // with one empty sequence, one sink state; and an arena claiming
+        // u64::MAX hop ids.
+        let addr = [4u8, 10, 0, 0, 1];
+        let mut seq = Vec::new();
+        put_u64(&mut seq, 0);
+        put_u32(&mut seq, 0);
+        let mut huge_arena = Vec::new();
+        put_u64(&mut huge_arena, u64::MAX);
+        let mut sink = Vec::new();
+        put_u32(&mut sink, 1);
+        sink.push(b'S');
+        let len = |p: &[u8]| p.len() as u64;
+        let cases: [(u32, u64, u64, &[u8]); 8] = [
+            (TAG_ADDR, 1, u64::MAX, &addr),
+            (TAG_BLOCK, 1, u64::MAX, &addr),
+            (TAG_ADDR, u64::MAX, len(&addr), &addr),
+            (TAG_SEQ, u64::MAX, len(&seq), &seq),
+            (TAG_SEQ, 1, len(&huge_arena), &huge_arena),
+            (TAG_SINK, u64::MAX, len(&sink), &sink),
+            (TAG_BLOCK, u64::MAX, len(&addr), &addr),
+            (TAG_END, u64::MAX, u64::MAX, &[]),
+        ];
+        for (tag, count, len, payload) in cases {
+            let case = format!("tag {tag}, count {count}, len {len}");
+            let bytes = crafted_segment(tag, count, len, payload);
+            let (snap, report) = read_lossy(&mut bytes.as_slice()).expect(&case);
+            assert_eq!(report.skipped_segments, 1, "{case}");
+            assert!(!report.first_errors.is_empty(), "{case}: no note");
+            assert!(snap.store.is_empty(), "{case}");
+            assert!(read(&mut bytes.as_slice()).is_err(), "{case}: strict open accepted it");
+        }
+        // Two such blocks: the skipped count saturates instead of wrapping.
+        let mut twice = crafted_segment(TAG_BLOCK, u64::MAX, len(&addr), &addr);
+        twice.extend_from_within(MAGIC.len() + 4..);
+        let (_, report) = read_lossy(&mut twice.as_slice()).unwrap();
+        assert_eq!((report.skipped_segments, report.skipped_traces), (2, usize::MAX));
+        // A payload longer than the up-front reservation still reads whole.
+        let big = "x".repeat(PAYLOAD_RESERVE as usize + 3);
+        let bytes = snapshot_bytes(&TraceStore::new(), std::slice::from_ref(&big), 1);
+        assert_eq!(read(&mut bytes.as_slice()).unwrap().sinks, [big]);
     }
 
     #[test]

@@ -510,7 +510,7 @@ impl RouteOracle {
             }
             _ => {
                 let tbl = s2s_obs::timed("oracle.route_compute", || {
-                    Arc::new(compute_routes_masked(adj, &self.edges, &cfg.blocked, dst_as, salt))
+                    Arc::new(compute_routes_masked(&self.edges, &cfg.blocked, dst_as, salt))
                 });
                 self.misses.inc();
                 tbl

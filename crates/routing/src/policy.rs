@@ -18,7 +18,8 @@
 //! Availability comes either as an [`EdgeAvailability`] predicate
 //! ([`compute_routes`]) or, as the oracle keeps it, as an [`EdgeMask`] of
 //! blocked edges over an [`EdgeIndex`] ([`compute_routes_masked`]); both
-//! run one core. [`table_still_exact`] decides, without recomputing,
+//! run one core, a breadth-first pass per phase over the adjacency split by
+//! relationship. [`table_still_exact`] decides, without recomputing,
 //! whether a table stays exact when the blocked set changes.
 
 use s2s_types::rel::AsRel;
@@ -61,15 +62,17 @@ impl<F: Fn(usize, usize) -> bool> EdgeAvailability for F {
 /// configuration can be a bitmask instead of a set of AS pairs.
 ///
 /// `id(a, j)` names the edge between AS `a` and its `j`-th neighbor
-/// `adj[a][j].0`; both directions of an edge share one id. The rows are
-/// parallel to `adj` and in the same order, so a route computation that
-/// walks them sees the same neighbor sequence as one that walks `adj`.
+/// `adj[a][j].0`; both directions of an edge share one id. The index also
+/// keeps the adjacency split by relationship with these ids, which is what
+/// [`compute_routes_masked`] walks.
 #[derive(Debug)]
 pub struct EdgeIndex {
     /// `ids[a][j]`: the id of the edge `adj[a][j]`.
     ids: Vec<Vec<u32>>,
     /// Per id: the lower endpoint and the edge's slot in its row.
     ends: Vec<(u32, u32)>,
+    /// The adjacency split by relationship, entries carrying these ids.
+    split: RelAdjacency,
 }
 
 impl EdgeIndex {
@@ -78,7 +81,7 @@ impl EdgeIndex {
     pub fn new(adj: &[Vec<(usize, AsRel)>]) -> Self {
         let mut by_pair = std::collections::HashMap::new();
         let mut ends = Vec::new();
-        let ids = adj
+        let ids: Vec<Vec<u32>> = adj
             .iter()
             .enumerate()
             .map(|(a, row)| {
@@ -92,7 +95,8 @@ impl EdgeIndex {
                 ids.collect()
             })
             .collect();
-        EdgeIndex { ids, ends }
+        let split = RelAdjacency::new(adj, |a, j| ids[a][j]);
+        EdgeIndex { ids, ends, split }
     }
 
     /// The id of the edge `adj[a][j]`.
@@ -117,6 +121,59 @@ impl EdgeIndex {
     }
 }
 
+/// An AS adjacency list split by relationship, as compressed sparse rows:
+/// AS `a`'s customers, peers and providers are three contiguous slices of
+/// one flat array. Each entry is `(neighbor, edge id)`, in `adj` order.
+#[derive(Debug)]
+struct RelAdjacency {
+    /// AS `a`'s neighbors that it regards as `rel` are
+    /// `entries[start[3a + class(rel)]..start[3a + class(rel) + 1]]`.
+    start: Vec<u32>,
+    entries: Vec<(u32, u32)>,
+}
+
+/// The slice a relationship selects in [`RelAdjacency`]. It is also the
+/// rank of a route learned from a neighbor of that relationship.
+fn class(rel: AsRel) -> usize {
+    match rel {
+        AsRel::Customer => 0,
+        AsRel::Peer => 1,
+        AsRel::Provider => 2,
+    }
+}
+
+impl RelAdjacency {
+    /// Splits `adj`, giving the edge `adj[a][j]` the id `id(a, j)`.
+    fn new(adj: &[Vec<(usize, AsRel)>], id: impl Fn(usize, usize) -> u32) -> Self {
+        let mut start = Vec::with_capacity(3 * adj.len() + 1);
+        let mut entries = Vec::with_capacity(adj.iter().map(Vec::len).sum());
+        start.push(0);
+        for (a, row) in adj.iter().enumerate() {
+            for rel in [AsRel::Customer, AsRel::Peer, AsRel::Provider] {
+                for (j, &(b, r)) in row.iter().enumerate() {
+                    if r == rel {
+                        entries.push((b as u32, id(a, j)));
+                    }
+                }
+                start.push(entries.len() as u32);
+            }
+        }
+        RelAdjacency { start, entries }
+    }
+
+    /// Number of ASes.
+    fn len(&self) -> usize {
+        self.start.len() / 3
+    }
+
+    /// AS `a`'s neighbors that `a` regards as `rel`.
+    #[inline]
+    fn of(&self, a: usize, rel: AsRel) -> &[(u32, u32)] {
+        let k = 3 * a + class(rel);
+        &self.entries[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
 /// A set of edge ids (of one [`EdgeIndex`]) as a bitmask.
 #[derive(Clone, Debug)]
 pub struct EdgeMask {
@@ -126,7 +183,12 @@ pub struct EdgeMask {
 impl EdgeMask {
     /// The empty set over `edges`.
     pub fn empty(edges: &EdgeIndex) -> Self {
-        EdgeMask { words: vec![0; edges.len().div_ceil(64)] }
+        EdgeMask::of_len(edges.len())
+    }
+
+    /// The empty set over ids `0..len`.
+    fn of_len(len: usize) -> Self {
+        EdgeMask { words: vec![0; len.div_ceil(64)] }
     }
 
     /// Adds edge `id`.
@@ -158,7 +220,8 @@ fn tiebreak(dst: usize, chooser: usize, candidate: usize, salt: u64) -> u64 {
 ///
 /// * `adj[i]` lists `(neighbor, rel)` with `rel` = AS `i`'s relationship
 ///   toward the neighbor.
-/// * `avail` filters AS edges (down links, v4-only links).
+/// * `avail` filters AS edges (down links, v4-only links); it is asked
+///   about an edge from the side whose neighbors the computation walks.
 /// * `salt` feeds the tie-break (use the protocol).
 ///
 /// Returns a vector indexed by AS: `None` for unreachable ASes, and the
@@ -171,141 +234,212 @@ pub fn compute_routes(
     avail: &impl EdgeAvailability,
     salt: u64,
 ) -> Vec<Option<RouteEntry>> {
-    routes_with(adj, dst, |a, j| avail.edge_up(a, adj[a][j].0), salt)
+    // Each directed slot `adj[a][j]` gets its own id (its position in the
+    // flattened rows), so the mask holds the predicate's answer for `a`'s
+    // side even when the predicate is not symmetric.
+    let row_start: Vec<usize> = adj
+        .iter()
+        .scan(0, |at, row| {
+            *at += row.len();
+            Some(*at - row.len())
+        })
+        .collect();
+    let split = RelAdjacency::new(adj, |a, j| (row_start[a] + j) as u32);
+    let mut blocked = EdgeMask::of_len(split.entries.len());
+    for (a, row) in adj.iter().enumerate() {
+        for (j, &(b, _)) in row.iter().enumerate() {
+            if !avail.edge_up(a, b) {
+                blocked.insert(row_start[a] + j);
+            }
+        }
+    }
+    Kernel { g: &split, blocked: &blocked, dst, salt }.routes()
 }
 
 /// [`compute_routes`] with availability given as the edges of `edges`
 /// that are `blocked` — the form the oracle keeps per configuration.
 pub fn compute_routes_masked(
-    adj: &[Vec<(usize, AsRel)>],
     edges: &EdgeIndex,
     blocked: &EdgeMask,
     dst: usize,
     salt: u64,
 ) -> Vec<Option<RouteEntry>> {
-    routes_with(adj, dst, |a, j| !blocked.contains(edges.id(a, j)), salt)
+    Kernel { g: &edges.split, blocked, dst, salt }.routes()
 }
 
-/// The route computation behind both entry points; `up(a, j)` tells
-/// whether the edge `adj[a][j]` is usable.
-fn routes_with(
-    adj: &[Vec<(usize, AsRel)>],
+/// An AS's best offer so far at the path length being settled: the
+/// offering neighbor and its tie-break score.
+#[derive(Clone, Copy)]
+struct Offer {
+    tb: u64,
+    via: u32,
+}
+
+/// No offer yet.
+const NO_OFFER: Offer = Offer { tb: 0, via: u32::MAX };
+
+/// Buffers a route computation reuses from call to call on one thread,
+/// so that only the returned table allocates.
+#[derive(Default)]
+struct Scratch {
+    /// Per AS: its best offer at the path length being settled.
+    best: Vec<Offer>,
+    /// The ASes routed at the previous length.
+    frontier: Vec<u32>,
+    /// The ASes offered a route at the current length.
+    offered: Vec<u32>,
+    /// The ASes routed before the provider phase, by path length.
+    seeds: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+/// One route computation: the split adjacency, the blocked edges, the
+/// destination and the tie-break salt.
+struct Kernel<'a> {
+    g: &'a RelAdjacency,
+    blocked: &'a EdgeMask,
     dst: usize,
-    up: impl Fn(usize, usize) -> bool,
     salt: u64,
-) -> Vec<Option<RouteEntry>> {
-    let n = adj.len();
-    assert!(dst < n, "destination {dst} out of range");
-    let mut routes: Vec<Option<RouteEntry>> = vec![None; n];
-    routes[dst] = Some(RouteEntry { next: dst as u32, rank: 0, len: 0 });
+}
 
-    // Phase 1 — customer routes: BFS from dst climbing provider edges.
-    // An AS x reached via its customer c selects next-hop c with rank 0.
-    let mut frontier = vec![dst];
-    let mut depth: u8 = 0;
-    while !frontier.is_empty() && depth < u8::MAX {
-        depth += 1;
-        let mut next_frontier = Vec::new();
-        // Collect candidates at this depth first so equal-length choices
-        // tie-break fairly rather than first-come-first-served.
-        let mut candidates: Vec<(usize, usize)> = Vec::new(); // (x, via customer c)
-        for &c in &frontier {
-            for (j, &(x, rel_c_to_x)) in adj[c].iter().enumerate() {
-                // x learns from c when c exports upward: c regards x as its
-                // Provider, i.e. x regards c as Customer.
-                if rel_c_to_x == AsRel::Provider && routes[x].is_none() && up(c, j) {
-                    candidates.push((x, c));
+impl Kernel<'_> {
+    /// Every AS's selected route toward `dst`.
+    ///
+    /// Each AS selects the least of its offers by (rank, len, tie-break),
+    /// and the tie-break is injective in the offering neighbor, so the
+    /// result does not depend on the order offers arrive in. That lets
+    /// every phase settle whole path lengths at once — a level-synchronous
+    /// BFS with one best-offer slot per AS — instead of sorting
+    /// candidates or keeping a heap.
+    fn routes(&self) -> Vec<Option<RouteEntry>> {
+        let n = self.g.len();
+        assert!(self.dst < n, "destination {} out of range", self.dst);
+        let mut routes: Vec<Option<RouteEntry>> = vec![None; n];
+        routes[self.dst] = Some(RouteEntry { next: self.dst as u32, rank: 0, len: 0 });
+        SCRATCH.with_borrow_mut(|s| {
+            let Scratch { best, frontier, offered, seeds } = s;
+            best.clear();
+            best.resize(n, NO_OFFER);
+
+            // Phase 1 — customer routes: BFS from dst climbing provider
+            // edges. An AS x reached via its customer c selects next-hop c
+            // with rank 0.
+            frontier.clear();
+            frontier.push(self.dst as u32);
+            let mut len: u8 = 0;
+            while !frontier.is_empty() && len < u8::MAX {
+                len += 1;
+                offered.clear();
+                self.offer(&routes, best, frontier, AsRel::Provider, offered);
+                settle(&mut routes, best, offered, 0, len);
+                std::mem::swap(frontier, offered);
+            }
+
+            // Phase 2 — peer routes: one hop across a peering edge from any
+            // AS with a customer route (or the destination).
+            for x in 0..n {
+                if routes[x].is_some() {
+                    continue;
+                }
+                let mut pick: Option<(u8, u64, u32)> = None;
+                for &(p, e) in self.g.of(x, AsRel::Peer) {
+                    let Some(r) = routes[p as usize] else { continue };
+                    if r.rank != 0 || r.len == u8::MAX || self.blocked.contains(e as usize) {
+                        continue;
+                    }
+                    let offer = (r.len + 1, tiebreak(self.dst, x, p as usize, self.salt), p);
+                    if pick.is_none_or(|b| (offer.0, offer.1) < (b.0, b.1)) {
+                        pick = Some(offer);
+                    }
+                }
+                if let Some((len, _, p)) = pick {
+                    routes[x] = Some(RouteEntry { next: p, rank: 1, len });
                 }
             }
-        }
-        candidates.sort_by_key(|&(x, c)| (x, tiebreak(dst, x, c, salt)));
-        let mut last_x = usize::MAX;
-        for (x, c) in candidates {
-            if x != last_x {
-                routes[x] = Some(RouteEntry { next: c as u32, rank: 0, len: depth });
-                next_frontier.push(x);
-                last_x = x;
-            }
-        }
-        frontier = next_frontier;
-    }
 
-    // Phase 2 — peer routes: one hop across a peering edge from any AS with
-    // a customer route (or the destination).
-    let mut peer_candidates: Vec<(usize, usize, u8)> = Vec::new(); // (x, via n, len)
-    for x in 0..n {
-        if routes[x].is_some() {
-            continue;
-        }
-        for (j, &(p, rel_x_to_p)) in adj[x].iter().enumerate() {
-            if rel_x_to_p != AsRel::Peer || !up(x, j) {
-                continue;
+            // Phase 3 — provider routes: BFS by path length down
+            // provider→customer edges. The exporters at length L are the
+            // ASes this phase routed at L - 1 plus the earlier phases' ASes
+            // of length L - 1, bucketed by a counting sort on length.
+            let mut at = [0u32; 257];
+            for r in routes.iter().flatten() {
+                at[usize::from(r.len) + 1] += 1;
             }
-            if let Some(r) = routes[p] {
-                if r.rank == 0 && r.len < u8::MAX {
-                    peer_candidates.push((x, p, r.len + 1));
+            for l in 1..at.len() {
+                at[l] += at[l - 1];
+            }
+            let mut fill = at;
+            seeds.resize(at[256] as usize, 0);
+            for (x, r) in routes.iter().enumerate() {
+                if let Some(r) = r {
+                    let k = &mut fill[usize::from(r.len)];
+                    seeds[*k as usize] = x as u32;
+                    *k += 1;
                 }
             }
-        }
-    }
-    peer_candidates.sort_by_key(|&(x, p, len)| (x, len, tiebreak(dst, x, p, salt)));
-    let mut last_x = usize::MAX;
-    for (x, p, len) in peer_candidates {
-        if x != last_x {
-            routes[x] = Some(RouteEntry { next: p as u32, rank: 1, len });
-            last_x = x;
-        }
-    }
-
-    // Phase 3 — provider routes: Dijkstra (unit weights → BFS by length)
-    // from every routed AS down provider→customer edges. Provider routes
-    // can chain through other provider routes.
-    use std::collections::BinaryHeap;
-    #[derive(PartialEq, Eq)]
-    struct Item {
-        len: u8,
-        tb: u64,
-        x: usize,
-        via: usize,
-    }
-    impl Ord for Item {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // Min-heap on (len, tiebreak).
-            (o.len, o.tb).cmp(&(self.len, self.tb))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    let mut heap = BinaryHeap::new();
-    // x (routed, `len` hops out) exports its route to its customers.
-    let export_down =
-        |heap: &mut BinaryHeap<Item>, routes: &[Option<RouteEntry>], x: usize, len: u8| {
-            if len == u8::MAX {
-                return;
-            }
-            for (j, &(c, rel_x_to_c)) in adj[x].iter().enumerate() {
-                if rel_x_to_c == AsRel::Customer && routes[c].is_none() && up(x, j) {
-                    heap.push(Item { len: len + 1, tb: tiebreak(dst, c, x, salt), x: c, via: x });
+            frontier.clear();
+            for len in 1..=u8::MAX {
+                let shorter = usize::from(len - 1);
+                if frontier.is_empty() && at[shorter] == at[256] {
+                    break;
                 }
+                let exporters = &seeds[at[shorter] as usize..at[shorter + 1] as usize];
+                offered.clear();
+                self.offer(&routes, best, exporters, AsRel::Customer, offered);
+                self.offer(&routes, best, frontier, AsRel::Customer, offered);
+                settle(&mut routes, best, offered, 2, len);
+                std::mem::swap(frontier, offered);
             }
-        };
-    for x in 0..n {
-        if let Some(r) = routes[x] {
-            export_down(&mut heap, &routes, x, r.len);
-        }
-    }
-    while let Some(Item { len, x, via, .. }) = heap.pop() {
-        if routes[x].is_some() {
-            continue;
-        }
-        routes[x] = Some(RouteEntry { next: via as u32, rank: 2, len });
-        export_down(&mut heap, &routes, x, len);
+        });
+        routes
     }
 
-    routes
+    /// Offers each exporter's route to its still-unrouted neighbors of
+    /// relationship `rel` over usable edges. Each neighbor keeps the offer
+    /// with the lowest tie-break; one offered for the first time at this
+    /// length joins `offered`.
+    fn offer(
+        &self,
+        routes: &[Option<RouteEntry>],
+        best: &mut [Offer],
+        exporters: &[u32],
+        rel: AsRel,
+        offered: &mut Vec<u32>,
+    ) {
+        for &y in exporters {
+            for &(x, e) in self.g.of(y as usize, rel) {
+                if routes[x as usize].is_some() || self.blocked.contains(e as usize) {
+                    continue;
+                }
+                let tb = tiebreak(self.dst, x as usize, y as usize, self.salt);
+                let slot = &mut best[x as usize];
+                if slot.via == NO_OFFER.via {
+                    offered.push(x);
+                } else if tb > slot.tb {
+                    continue;
+                }
+                *slot = Offer { tb, via: y };
+            }
+        }
+    }
+}
+
+/// Routes every offered AS over its best offer with `rank` and `len`, and
+/// clears the offer.
+fn settle(
+    routes: &mut [Option<RouteEntry>],
+    best: &mut [Offer],
+    offered: &[u32],
+    rank: u8,
+    len: u8,
+) {
+    for &x in offered {
+        let o = std::mem::replace(&mut best[x as usize], NO_OFFER);
+        routes[x as usize] = Some(RouteEntry { next: o.via, rank, len });
+    }
 }
 
 /// True when `routes` — computed toward `dst` with tie-break `salt` while
@@ -371,11 +505,7 @@ fn offer_wins(
     salt: u64,
 ) -> bool {
     let Some(ry) = routes[y] else { return false };
-    let rank = match rel_x_to_y {
-        AsRel::Customer => 0,
-        AsRel::Peer => 1,
-        AsRel::Provider => 2,
-    };
+    let rank = class(rel_x_to_y) as u8;
     // Customers and peers export only their customer routes.
     if x == dst || ry.len == u8::MAX || (rank < 2 && ry.rank != 0) {
         return false;
@@ -623,6 +753,13 @@ mod tests {
         }
     }
 
+    /// The table under [`AllUp`], checked against the reference.
+    fn checked_routes(adj: &[Vec<(usize, AsRel)>], dst: usize) -> Vec<Option<RouteEntry>> {
+        let r = compute_routes(adj, dst, &AllUp, 0);
+        assert_eq!(r, reference_routes(adj, dst, |_, _| true, 0), "dst {dst}");
+        r
+    }
+
     /// A 300-AS provider chain (AS i's provider is AS i + 1), optionally
     /// with the edge between `peer_at` and `peer_at + 1` a peering instead.
     fn long_chain(peer_at: Option<usize>) -> Vec<Vec<(usize, AsRel)>> {
@@ -642,7 +779,7 @@ mod tests {
     fn long_chain_with_destination_at_the_top_stops_at_255_hops() {
         // Provider routes chain down from AS 299: AS 299 - k is k hops out,
         // and the ASes past 255 hops stay unrouted instead of wrapping.
-        let r = compute_routes(&long_chain(None), 299, &AllUp, 0);
+        let r = checked_routes(&long_chain(None), 299);
         for (i, e) in r.iter().enumerate() {
             let hops = 299 - i;
             assert_eq!(e.map(|e| usize::from(e.len)), (hops <= 255).then_some(hops), "AS {i}");
@@ -652,7 +789,7 @@ mod tests {
 
     #[test]
     fn long_chain_with_destination_at_the_bottom_stops_at_255_hops() {
-        let r = compute_routes(&long_chain(None), 0, &AllUp, 0);
+        let r = checked_routes(&long_chain(None), 0);
         for (i, e) in r.iter().enumerate() {
             assert_eq!(e.is_some(), i <= 255, "AS {i}");
         }
@@ -664,7 +801,7 @@ mod tests {
         // The peering early puts the cap in the provider phase; at 255 the
         // peer route itself would be hop 256.
         for peer_at in [149, 254, 255] {
-            let r = compute_routes(&long_chain(Some(peer_at)), 0, &AllUp, 0);
+            let r = checked_routes(&long_chain(Some(peer_at)), 0);
             for (i, e) in r.iter().enumerate() {
                 assert_eq!(e.is_some(), i <= 255, "peering at {peer_at}, AS {i}");
             }
@@ -687,12 +824,11 @@ mod tests {
         let avail = |a: usize, b: usize| {
             !blocked.contains(edges.between(&t.as_adj, a, b).expect("adjacent"))
         };
+        let up = |a: usize, j: usize| !blocked.contains(edges.id(a, j));
         for dst in 0..t.as_adj.len() {
-            assert_eq!(
-                compute_routes_masked(&t.as_adj, &edges, &blocked, dst, 3),
-                compute_routes(&t.as_adj, dst, &avail, 3),
-                "dst {dst}"
-            );
+            let masked = compute_routes_masked(&edges, &blocked, dst, 3);
+            assert_eq!(masked, compute_routes(&t.as_adj, dst, &avail, 3), "dst {dst}");
+            assert_eq!(masked, reference_routes(&t.as_adj, dst, up, 3), "dst {dst}");
         }
     }
 
@@ -754,9 +890,9 @@ mod tests {
             };
             for dst in 0..adj.len() {
                 let salt = rng.random_range(0u64..4);
-                let old = compute_routes_masked(&adj, &edges, &was, dst, salt);
+                let old = compute_routes_masked(&edges, &was, dst, salt);
                 if table_still_exact(&adj, &edges, &old, &was, &now, dst, salt) {
-                    let fresh = compute_routes_masked(&adj, &edges, &now, dst, salt);
+                    let fresh = compute_routes_masked(&edges, &now, dst, salt);
                     assert_eq!(old, fresh, "seed {seed}, dst {dst}: reused a stale table");
                     accepted += 1;
                 } else {
@@ -772,6 +908,213 @@ mod tests {
         #[test]
         fn prop_reuse_check_is_exact(seed: u64) {
             reuse_trials(seed);
+        }
+    }
+
+    /// The route computation as it was before the split-adjacency kernel,
+    /// kept as the reference: per-depth candidate sorts in the customer
+    /// phase and a binary heap in the provider phase, walking `adj` rows
+    /// and asking `up(a, j)` about the edge `adj[a][j]`.
+    fn reference_routes(
+        adj: &[Vec<(usize, AsRel)>],
+        dst: usize,
+        up: impl Fn(usize, usize) -> bool,
+        salt: u64,
+    ) -> Vec<Option<RouteEntry>> {
+        let n = adj.len();
+        assert!(dst < n, "destination {dst} out of range");
+        let mut routes: Vec<Option<RouteEntry>> = vec![None; n];
+        routes[dst] = Some(RouteEntry { next: dst as u32, rank: 0, len: 0 });
+
+        let mut frontier = vec![dst];
+        let mut depth: u8 = 0;
+        while !frontier.is_empty() && depth < u8::MAX {
+            depth += 1;
+            let mut next_frontier = Vec::new();
+            let mut candidates: Vec<(usize, usize)> = Vec::new();
+            for &c in &frontier {
+                for (j, &(x, rel_c_to_x)) in adj[c].iter().enumerate() {
+                    if rel_c_to_x == Provider && routes[x].is_none() && up(c, j) {
+                        candidates.push((x, c));
+                    }
+                }
+            }
+            candidates.sort_by_key(|&(x, c)| (x, tiebreak(dst, x, c, salt)));
+            let mut last_x = usize::MAX;
+            for (x, c) in candidates {
+                if x != last_x {
+                    routes[x] = Some(RouteEntry { next: c as u32, rank: 0, len: depth });
+                    next_frontier.push(x);
+                    last_x = x;
+                }
+            }
+            frontier = next_frontier;
+        }
+
+        let mut peer_candidates: Vec<(usize, usize, u8)> = Vec::new();
+        for x in 0..n {
+            if routes[x].is_some() {
+                continue;
+            }
+            for (j, &(p, rel_x_to_p)) in adj[x].iter().enumerate() {
+                if rel_x_to_p != Peer || !up(x, j) {
+                    continue;
+                }
+                if let Some(r) = routes[p] {
+                    if r.rank == 0 && r.len < u8::MAX {
+                        peer_candidates.push((x, p, r.len + 1));
+                    }
+                }
+            }
+        }
+        peer_candidates.sort_by_key(|&(x, p, len)| (x, len, tiebreak(dst, x, p, salt)));
+        let mut last_x = usize::MAX;
+        for (x, p, len) in peer_candidates {
+            if x != last_x {
+                routes[x] = Some(RouteEntry { next: p as u32, rank: 1, len });
+                last_x = x;
+            }
+        }
+
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // Min-heap on (len, tie-break); the AS and its next hop ride along.
+        let mut heap = BinaryHeap::new();
+        let export_down = |heap: &mut BinaryHeap<_>, routes: &[Option<RouteEntry>], x: usize, len: u8| {
+            if len == u8::MAX {
+                return;
+            }
+            for (j, &(c, rel_x_to_c)) in adj[x].iter().enumerate() {
+                if rel_x_to_c == Customer && routes[c].is_none() && up(x, j) {
+                    heap.push(Reverse((len + 1, tiebreak(dst, c, x, salt), c, x)));
+                }
+            }
+        };
+        for x in 0..n {
+            if let Some(r) = routes[x] {
+                export_down(&mut heap, &routes, x, r.len);
+            }
+        }
+        while let Some(Reverse((len, _, x, via))) = heap.pop() {
+            if routes[x].is_some() {
+                continue;
+            }
+            routes[x] = Some(RouteEntry { next: via as u32, rank: 2, len });
+            export_down(&mut heap, &routes, x, len);
+        }
+        routes
+    }
+
+    /// A random valley-free world. Each of one to three disjoint parts has
+    /// a tier-1 peer mesh, transit ASes with one to three providers above
+    /// them and the odd peering among themselves, and multi-homed stubs.
+    /// Some worlds hang a provider chain of 250–300 ASes below a random AS,
+    /// so routes run into the 255-hop cap in every phase.
+    fn valley_free_graph(rng: &mut rand::rngs::StdRng) -> (Vec<Vec<(usize, AsRel)>>, Vec<usize>) {
+        use rand::Rng;
+        let mut pairs = std::collections::BTreeSet::new();
+        let mut edges = Vec::new();
+        let mut link = |a: usize, b: usize, rel: AsRel| {
+            if a != b && pairs.insert((a.min(b), a.max(b))) {
+                edges.push((a, b, rel));
+            }
+        };
+        let mut n = 0;
+        for _ in 0..rng.random_range(1usize..=3) {
+            let base = n;
+            let tier1 = rng.random_range(1usize..=4);
+            let transit = rng.random_range(0usize..=8);
+            let stubs = rng.random_range(0usize..=10);
+            for a in base..base + tier1 {
+                for b in a + 1..base + tier1 {
+                    link(a, b, Peer);
+                }
+            }
+            for x in base + tier1..base + tier1 + transit {
+                for _ in 0..rng.random_range(1usize..=3) {
+                    link(x, rng.random_range(base..x), Provider);
+                }
+                if x > base + tier1 && rng.random_bool(0.4) {
+                    link(x, rng.random_range(base + tier1..x), Peer);
+                }
+            }
+            for x in base + tier1 + transit..base + tier1 + transit + stubs {
+                for _ in 0..rng.random_range(1usize..=3) {
+                    link(x, rng.random_range(base..base + tier1 + transit), Provider);
+                }
+            }
+            n = base + tier1 + transit + stubs;
+        }
+        let mut ends = Vec::new();
+        if rng.random_bool(0.3) {
+            let len = rng.random_range(250usize..=300);
+            link(n, rng.random_range(0..n), Provider);
+            for k in n..n + len - 1 {
+                link(k + 1, k, Provider);
+            }
+            ends = vec![n, n + len / 2, n + len - 1];
+            n += len;
+        }
+        (graph(n, &edges), ends)
+    }
+
+    /// Both protocols' tie-break salts, as the oracle uses them.
+    const SALTS: [u64; 2] = [0xA5A5_0000, 0xA5A5_0001];
+
+    /// One seeded round: a valley-free world (or, one time in four, an
+    /// arbitrary graph with provider cycles), random blocked masks, both
+    /// salts; the kernel must equal the reference, table for table, in the
+    /// mask form and in the predicate form with an asymmetric predicate.
+    /// Returns how many tables were compared.
+    fn kernel_trials(seed: u64) -> usize {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (adj, ends) = if rng.random_bool(0.25) {
+            (random_graph(&mut rng), Vec::new())
+        } else {
+            valley_free_graph(&mut rng)
+        };
+        let edges = EdgeIndex::new(&adj);
+        let mut dsts: Vec<usize> = if adj.len() <= 48 {
+            (0..adj.len()).collect()
+        } else {
+            (0..16).map(|_| rng.random_range(0..adj.len())).collect()
+        };
+        dsts.extend(ends);
+        let mut compared = 0;
+        for share in [0.0, 0.1, 0.3] {
+            let mut blocked = EdgeMask::empty(&edges);
+            for id in 0..edges.len() {
+                if rng.random_bool(share) {
+                    blocked.insert(id);
+                }
+            }
+            // Down in one direction only: (a, b) with a < b.
+            let one_way: std::collections::BTreeSet<(usize, usize)> = (0..adj.len())
+                .flat_map(|a| adj[a].iter().map(move |&(b, _)| (a, b)))
+                .filter(|_| rng.random_bool(share))
+                .collect();
+            for &dst in &dsts {
+                for salt in SALTS {
+                    let masked = compute_routes_masked(&edges, &blocked, dst, salt);
+                    let up = |a: usize, j: usize| !blocked.contains(edges.id(a, j));
+                    assert_eq!(masked, reference_routes(&adj, dst, up, salt), "seed {seed}, dst {dst}");
+                    let avail = |a: usize, b: usize| !one_way.contains(&(a, b));
+                    let directed = compute_routes(&adj, dst, &avail, salt);
+                    let up = |a: usize, j: usize| avail(a, adj[a][j].0);
+                    assert_eq!(directed, reference_routes(&adj, dst, up, salt), "seed {seed}, dst {dst}");
+                    compared += 2;
+                }
+            }
+        }
+        compared
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_kernel_equals_the_heap_reference(seed: u64) {
+            kernel_trials(seed);
         }
     }
 
