@@ -124,18 +124,20 @@ rm -rf smoke_shards
 
 echo "==> always-on service smoke: capped daemon, resume, scripted queries, digest parity"
 # A capped `serve` session measures 8 epochs, answers a scripted query
-# batch, and checkpoints through the snapshot plane; a second session
-# resumes from that snapshot and completes the schedule. The resumed
-# daemon's dataset digest must match the batch run's byte-for-byte, and
-# the service.* / query.* counters must reach --metrics-json.
+# batch, and checkpoints every 3 epochs through the snapshot plane, which
+# leaves a three-chunk log (epochs 3, 6, 8); a second session resumes
+# from that log, appends to it, and compacts it when the schedule
+# completes. The resumed daemon's dataset digest must match the batch
+# run's byte-for-byte, and the service.* / query.* counters must reach
+# --metrics-json.
 rm -f smoke_service.snap
 printf 'stats\npair 0 1 v4\n' |
-S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
+S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 S2S_SERVICE_SNAP_EVERY=3 \
     cargo run -q --release -p s2s-bench --bin reproduce -- serve --epochs 8 \
     --snapshot smoke_service.snap |
     tee reproduce_serve1.txt
 printf 'stats\nadvice 0 1\n' |
-S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
+S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 S2S_SERVICE_SNAP_EVERY=3 \
     cargo run -q --release -p s2s-bench --bin reproduce -- serve \
     --snapshot smoke_service.snap --metrics-json metrics_service.json |
     tee reproduce_serve2.txt
@@ -144,10 +146,13 @@ test -n "$serve_digest" && test "$serve_digest" = "$one_digest"
 grep -q 'ok {"cmd":"stats"' reproduce_serve1.txt
 grep -q 'ok {"cmd":"stats"' reproduce_serve2.txt
 grep -q 'service: resumed from' reproduce_serve2.txt
+grep -q 'service: resumed from smoke_service.snap at epoch 8/' reproduce_serve2.txt
 grep -q 'service: final snapshot' reproduce_serve2.txt
 grep -q '"service.epochs"' metrics_service.json
 grep -q '"service.resumes"' metrics_service.json
 grep -q '"query.served"' metrics_service.json
+grep -q '"service.checkpoint.appended"' metrics_service.json
+grep -q '"service.checkpoint.compacted"' metrics_service.json
 rm -f smoke_service.snap
 
 echo "==> long-term campaign + columnar analysis bench (quick mode; writes BENCH_longterm.json)"

@@ -10,15 +10,23 @@
 //! computed when a query arrives, in O(pair state), never O(corpus).
 //!
 //! Periodically (and on graceful shutdown) the service checkpoints through
-//! the snapshot plane: the merged store plus serialized profile lines and
-//! a service-state line. A restarted service resumes from the checkpoint
-//! ([`Service::resume`]) and replays only the epochs measured after it —
-//! the recovered run's dataset, digest, profiles, and report are
-//! byte-identical to an uninterrupted one (pinned by the tests below).
+//! the snapshot plane into an append-only log ([`Service::checkpoint`]):
+//! each checkpoint appends one complete snapshot chunk holding only the
+//! records of the epochs since the previous chunk, plus a state trailer
+//! (`SERVICE|<next_epoch>` and the cumulative report line), so its cost is
+//! O(epochs since the last checkpoint), not O(epochs served). Once the
+//! schedule completes, the checkpoint compacts the log into one snapshot
+//! of the merged store with every profile line. A restarted service
+//! resumes from the log ([`Service::resume`]): it reads the chunks that
+//! read cleanly, refolds the profiles from their records, and replays
+//! only the epochs measured after the last one — the recovered run's
+//! dataset, digest, profiles, and report are byte-identical to an
+//! uninterrupted one (pinned by the tests below).
 //!
-//! Queries arrive as lines (stdin for `reproduce serve`) and are answered
-//! as single `ok {json}` / `err reason` lines — see [`Service::answer`]
-//! for the command set.
+//! Queries arrive as lines (stdin for `reproduce serve`, at most
+//! [`MAX_QUERY_LINE`] bytes each) and are answered as single
+//! `ok {json}` / `err reason` lines — see [`Service::answer`] for the
+//! command set.
 //!
 //! Knobs (registered in `s2s_probe::env::KNOWN_KNOBS`, resolved here
 //! because their defaults are service policy): `S2S_SERVICE_CADENCE_MS`
@@ -40,6 +48,10 @@ use s2s_types::{ClusterId, ExitCode, Protocol};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
+
+/// The longest query line `serve` reads, in bytes; a longer line is
+/// answered `err query line too long` and skipped up to its newline.
+pub const MAX_QUERY_LINE: usize = 64 * 1024;
 
 /// Wall-clock sleep between service epochs: the `S2S_SERVICE_CADENCE_MS`
 /// knob, default 0 (free-run — simulated time needs no pacing; a nonzero
@@ -148,6 +160,17 @@ pub struct Service<'a> {
     next_epoch: usize,
     resumed_from: Option<usize>,
     queries_answered: usize,
+    /// The checkpoint log this service appends to, once it has written or
+    /// resumed one.
+    log: Option<LogTail>,
+}
+
+/// Where a service's checkpoint log ends: the file, the length of its
+/// valid prefix, and the epoch its last chunk reached.
+struct LogTail {
+    path: PathBuf,
+    len: u64,
+    epoch: usize,
 }
 
 impl<'a> Service<'a> {
@@ -184,6 +207,7 @@ impl<'a> Service<'a> {
             next_epoch: 0,
             resumed_from: None,
             queries_answered: 0,
+            log: None,
         }
     }
 
@@ -274,107 +298,183 @@ impl<'a> Service<'a> {
         })
     }
 
-    /// Flushes a checkpoint: the merged store plus sink lines (one
-    /// service-state line, the report line, then every profile line) go
-    /// through the snapshot plane's crash-safe write. Returns bytes
-    /// written.
-    pub fn checkpoint(&self, path: &Path) -> io::Result<u64> {
-        let mut lines = Vec::with_capacity(self.profiles.len() + 2);
-        lines.push(format!("SERVICE|{}", self.next_epoch));
-        lines.push(self.report.to_line());
-        lines.extend(self.profiles.iter().map(PairProfile::to_line));
-        let bytes = snapshot::write_file(path, &self.merged_store(), &lines)?;
+    /// Flushes a checkpoint to `path`; returns the bytes written.
+    ///
+    /// Before the schedule completes, the checkpoint appends one chunk to
+    /// the log at `path`: a complete snapshot of the records of the epochs
+    /// since the previous chunk (each slot's rows, in slot order) with the
+    /// sink lines `SERVICE|<next_epoch>` and the cumulative report line.
+    /// Its cost is O(epochs since the last checkpoint). A service that has
+    /// neither written nor resumed the log at `path` replaces the file
+    /// with a first chunk instead, so a stale file there is never
+    /// extended. Appends cut the file back to the end of its last valid
+    /// chunk first, dropping whatever a torn write left there.
+    ///
+    /// Once the schedule is complete, the checkpoint compacts the log: the
+    /// merged store with sink lines `SERVICE|<n_epochs>`, the report and
+    /// every profile line, as one snapshot written to a `.tmp` sibling and
+    /// renamed into place — the file `snapshot::open_file` reopens.
+    pub fn checkpoint(&mut self, path: &Path) -> io::Result<u64> {
+        let mut lines = vec![format!("SERVICE|{}", self.next_epoch), self.report.to_line()];
+        let appending = self.log.as_ref().filter(|l| l.path == path);
+        let complete = self.next_epoch == self.n_epochs();
+        let from = if complete { 0 } else { appending.map_or(0, |l| l.epoch) };
+        // Every slot store holds one row per epoch, so rows are epochs.
+        let parts: Vec<_> = self.substores.iter().map(|st| (st, from..self.next_epoch)).collect();
+        let (bytes, len) = match appending.map(|l| l.len).filter(|_| !complete) {
+            Some(at) => {
+                let bytes = snapshot::append_file(path, at, &parts, &lines)?;
+                s2s_obs::inc("service.checkpoint.appended");
+                (bytes, at + bytes)
+            }
+            None => {
+                if complete {
+                    lines.extend(self.profiles.iter().map(PairProfile::to_line));
+                }
+                let bytes = snapshot::write_file_parts(path, &parts, &lines)?;
+                s2s_obs::inc(if complete {
+                    "service.checkpoint.compacted"
+                } else {
+                    "service.checkpoint.appended"
+                });
+                (bytes, bytes)
+            }
+        };
+        self.log = Some(LogTail { path: path.to_path_buf(), len, epoch: self.next_epoch });
         s2s_obs::inc("service.snapshots");
         if let Some(reg) = s2s_obs::installed() {
             reg.gauge("service.checkpoint_epoch").set(self.next_epoch as u64);
+            reg.gauge("service.checkpoint_bytes").set(bytes);
         }
         Ok(bytes)
     }
 
-    /// Reopens a checkpoint and rebuilds the live state: records split
-    /// back into their slots, profiles parse from their lines, and the
-    /// whole recovered store folds as one delta into a fresh incremental
-    /// analysis (split-invariance makes that byte-identical to the
-    /// epoch-by-epoch folds it replaces). The caller then replays epochs
-    /// `resumed_from()..` — everything measured after the checkpoint is
-    /// the exact lost work.
+    /// Reopens a checkpoint log and rebuilds the live state.
+    ///
+    /// Chunks are read in order, each strictly, and each must hold
+    /// exactly one record per slot for every epoch from the previous
+    /// chunk's `SERVICE` epoch (0 for the first) to its own, with every
+    /// record in a known slot. A chunk's records go back into their slot
+    /// stores, fold through the profile sink in per-slot epoch order (what
+    /// [`Service::advance`] does live) and fold into the incremental
+    /// analysis as one delta (split invariance makes that byte-identical
+    /// to the epoch-by-epoch folds it replaces). The first chunk may be a
+    /// compacted snapshot, or one written before checkpoints were
+    /// append-only, that carries every profile line; those lines must
+    /// equal the refolded profiles.
+    ///
+    /// The log is valid up to the last chunk that reads and validates
+    /// cleanly: anything after it (a torn append, flipped bits) is cut off
+    /// before the next append, and its epochs replay exactly. The caller
+    /// then replays epochs `resumed_from()..`. A log whose first chunk is
+    /// not valid is an error.
     pub fn resume(
         scenario: &'a Scenario,
         cfg: ServiceConfig,
         path: &Path,
     ) -> io::Result<Service<'a>> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let snap = snapshot::open_file(path)?;
+        let mut log = snapshot::LogReader::open(path)?;
         let mut svc = Service::new(scenario, cfg);
-        let mut lines = snap.sinks.iter();
-        let state = lines
-            .next()
-            .and_then(|l| l.strip_prefix("SERVICE|"))
-            .ok_or_else(|| bad("checkpoint has no SERVICE state line".into()))?;
-        let next_epoch: usize =
-            state.parse().map_err(|_| bad(format!("bad SERVICE epoch '{state}'")))?;
-        if next_epoch > svc.n_epochs() {
-            return Err(bad(format!(
-                "checkpoint epoch {next_epoch} exceeds the {}-epoch schedule \
-                 (different scale?)",
-                svc.n_epochs()
-            )));
+        let mut chunks = 0usize;
+        while let Some(chunk) = log.next_chunk()? {
+            let end = match svc.validate_chunk(&chunk, chunks == 0) {
+                Ok(end) => end,
+                Err(msg) if chunks == 0 => return Err(bad(msg)),
+                Err(_) => break,
+            };
+            svc.apply_chunk(&chunk, end)?;
+            chunks += 1;
+            svc.log = Some(LogTail { path: path.to_path_buf(), len: log.offset(), epoch: end });
         }
-        let report_line =
-            lines.next().ok_or_else(|| bad("checkpoint has no report line".into()))?;
-        svc.report = CampaignReport::from_line(report_line).map_err(bad)?;
-        let profile_lines: Vec<&String> = lines.collect();
-        if profile_lines.len() != svc.profiles.len() {
-            return Err(bad(format!(
-                "checkpoint has {} profile line(s), schedule needs {}",
-                profile_lines.len(),
-                svc.profiles.len()
-            )));
+        if chunks == 0 {
+            let why = log.damage().unwrap_or("empty snapshot");
+            return Err(bad(format!("checkpoint {} holds no valid chunk: {why}", path.display())));
         }
-        for (slot, line) in profile_lines.into_iter().enumerate() {
-            let p = PairProfile::parse(line)?;
-            let expect = &svc.profiles[slot];
-            if (p.src, p.dst, p.proto) != (expect.src, expect.dst, expect.proto) {
-                return Err(bad(format!(
-                    "checkpoint profile {slot} is ({}, {}, {:?}), schedule says \
-                     ({}, {}, {:?})",
-                    p.src, p.dst, p.proto, expect.src, expect.dst, expect.proto
-                )));
-            }
-            svc.profiles[slot] = p;
-        }
-        // Every slot folds exactly one record per epoch (lost slots fold a
-        // synthetic row), so the recovered store's size is pinned.
-        let expect_records = next_epoch * svc.substores.len();
-        if snap.store.len() != expect_records {
-            return Err(bad(format!(
-                "checkpoint holds {} record(s), epoch {next_epoch} × {} slot(s) \
-                 needs {expect_records}",
-                snap.store.len(),
-                svc.substores.len()
-            )));
-        }
-        for v in snap.store.iter() {
-            let rec = v.to_record();
-            let slot = *svc
-                .slot_of
-                .get(&(rec.src, rec.dst, rec.proto))
-                .ok_or_else(|| {
-                    bad(format!(
-                        "checkpoint record for unknown slot ({}, {}, {:?})",
-                        rec.src, rec.dst, rec.proto
-                    ))
-                })?;
-            svc.substores[slot].push(&rec);
-        }
-        svc.analysis.update(&snap.store, &scenario.ip2asn);
-        svc.next_epoch = next_epoch;
-        svc.resumed_from = Some(next_epoch);
+        svc.resumed_from = Some(svc.next_epoch);
         s2s_obs::inc("service.resumes");
         if let Some(reg) = s2s_obs::installed() {
-            reg.gauge("service.resumed_epoch").set(next_epoch as u64);
+            reg.gauge("service.resumed_epoch").set(svc.next_epoch as u64);
         }
         Ok(svc)
+    }
+
+    /// Checks one log chunk against the schedule and the epochs already
+    /// recovered; returns the epoch the chunk reaches. Only the first
+    /// chunk may carry profile lines.
+    fn validate_chunk(&self, chunk: &snapshot::Snapshot, first: bool) -> Result<usize, String> {
+        let state = chunk
+            .sinks
+            .first()
+            .and_then(|l| l.strip_prefix("SERVICE|"))
+            .ok_or("checkpoint has no SERVICE state line")?;
+        let end: usize = state.parse().map_err(|_| format!("bad SERVICE epoch '{state}'"))?;
+        if end > self.n_epochs() {
+            return Err(format!(
+                "checkpoint epoch {end} exceeds the {}-epoch schedule (different scale?)",
+                self.n_epochs()
+            ));
+        }
+        if end < self.next_epoch {
+            return Err(format!("chunk epoch {end} precedes epoch {}", self.next_epoch));
+        }
+        let report_line = chunk.sinks.get(1).ok_or("checkpoint has no report line")?;
+        CampaignReport::from_line(report_line)?;
+        let profile_lines = chunk.sinks.len() - 2;
+        if profile_lines != 0 && !(first && profile_lines == self.profiles.len()) {
+            return Err(format!(
+                "checkpoint has {profile_lines} profile line(s), schedule needs {}",
+                self.profiles.len()
+            ));
+        }
+        // Every slot folds exactly one record per epoch (lost slots fold a
+        // synthetic row), so a chunk's size is pinned slot by slot.
+        let per_slot = end - self.next_epoch;
+        let expect = per_slot * self.substores.len();
+        if chunk.store.len() != expect {
+            return Err(format!(
+                "checkpoint holds {} record(s), epochs {}..{end} × {} slot(s) needs {expect}",
+                chunk.store.len(),
+                self.next_epoch,
+                self.substores.len()
+            ));
+        }
+        let mut counts = vec![0usize; self.substores.len()];
+        for v in chunk.store.iter() {
+            let (src, dst, proto) = (v.src(), v.dst(), v.proto());
+            let slot = *self.slot_of.get(&(src, dst, proto)).ok_or_else(|| {
+                format!("checkpoint record for unknown slot ({src}, {dst}, {proto:?})")
+            })?;
+            counts[slot] += 1;
+            if counts[slot] > per_slot {
+                return Err(format!("checkpoint slot {slot} holds more than {per_slot} record(s)"));
+            }
+        }
+        Ok(end)
+    }
+
+    /// Folds one validated chunk into the live state and moves to its
+    /// epoch `end`.
+    fn apply_chunk(&mut self, chunk: &snapshot::Snapshot, end: usize) -> io::Result<()> {
+        for v in chunk.store.iter() {
+            let slot = self.slot_of[&(v.src(), v.dst(), v.proto())];
+            let epoch = self.substores[slot].len() as u64;
+            self.sink.fold(&mut self.profiles[slot], epoch, v.t(), v.e2e_rtt_ms());
+            self.substores[slot].push(&v.to_record());
+        }
+        self.analysis.update(&chunk.store, &self.scenario.ip2asn);
+        self.report = CampaignReport::from_line(&chunk.sinks[1])
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.next_epoch = end;
+        for (slot, line) in chunk.sinks[2..].iter().enumerate() {
+            if *line != self.profiles[slot].to_line() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("checkpoint profile {slot} disagrees with its refolded records"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Answers one query line. Every response is a single line: `ok
@@ -587,7 +687,10 @@ pub struct ServeOutcome {
 /// queries until `input` closes or a `quit` line arrives. Shutdown —
 /// `quit`, EOF, or schedule end with a closed input — always flushes a
 /// final snapshot (when a path is configured) and prints the dataset
-/// digest line, byte-comparable against a batch run.
+/// digest line, byte-comparable against a batch run. An input line longer
+/// than [`MAX_QUERY_LINE`] bytes is answered `err query line too long`
+/// (counted under `query.rejected`, not against the query budget) and
+/// skipped up to its newline; the reader never holds more than that.
 ///
 /// `epochs` caps how many epochs to advance (`None` = the full schedule);
 /// the cap makes scripted smoke runs and kill/resume drills cheap.
@@ -612,6 +715,15 @@ pub fn serve(
                 svc.n_epochs(),
                 svc.n_epochs() - svc.next_epoch()
             )?;
+            let valid = svc.log.as_ref().map_or(0, |l| l.len);
+            let cut = std::fs::metadata(p)?.len().saturating_sub(valid);
+            if cut > 0 {
+                writeln!(
+                    output,
+                    "service: {cut} byte(s) after the last valid checkpoint chunk will be \
+                     cut at the next checkpoint"
+                )?;
+            }
             svc
         }
         None => Service::new(scenario, cfg.clone()),
@@ -633,19 +745,13 @@ pub fn serve(
 
     // The input pump: a reader thread forwards lines over a channel so
     // epoch advancement never blocks on a quiet stdin.
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
+    let (tx, rx) = std::sync::mpsc::channel::<QueryLine>();
     let mut input = input;
     std::thread::spawn(move || {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match input.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {
-                    if tx.send(line.trim_end_matches(['\n', '\r']).to_string()).is_err() {
-                        break;
-                    }
-                }
+        let mut buf = Vec::with_capacity(MAX_QUERY_LINE);
+        while let Ok(Some(line)) = read_query_line(&mut input, &mut buf) {
+            if tx.send(line).is_err() {
+                break;
             }
         }
     });
@@ -657,17 +763,9 @@ pub fn serve(
     let mut input_open = true;
     while svc.next_epoch() < target && !shutdown {
         // Serve everything queued between epochs.
-        while input_open {
+        while input_open && !shutdown {
             match rx.try_recv() {
-                Ok(line) if line.trim() == "quit" => {
-                    shutdown = true;
-                    break;
-                }
-                Ok(line) if line.trim().is_empty() => {}
-                Ok(line) => {
-                    let a = svc.answer(&line);
-                    writeln!(output, "{a}")?;
-                }
+                Ok(line) => shutdown = respond(&mut svc, line, output)?,
                 Err(std::sync::mpsc::TryRecvError::Empty) => break,
                 Err(std::sync::mpsc::TryRecvError::Disconnected) => {
                     input_open = false;
@@ -690,14 +788,9 @@ pub fn serve(
     // Schedule done (or quitting): drain remaining queries until EOF/quit.
     if !shutdown {
         for line in rx.iter() {
-            if line.trim() == "quit" {
+            if respond(&mut svc, line, output)? {
                 break;
             }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let a = svc.answer(&line);
-            writeln!(output, "{a}")?;
         }
     }
     // Graceful shutdown: final flush, then the digest line a batch run
@@ -722,6 +815,72 @@ pub fn serve(
         epochs_run: svc.next_epoch() - start_epoch,
         resumed_from: svc.resumed_from(),
     })
+}
+
+/// One line of `serve` input.
+#[derive(Debug, PartialEq, Eq)]
+enum QueryLine {
+    /// A line, without its line ending.
+    Text(String),
+    /// A line longer than [`MAX_QUERY_LINE`] bytes, skipped up to its
+    /// newline.
+    TooLong,
+}
+
+/// Reads one input line of at most [`MAX_QUERY_LINE`] bytes through
+/// `buf`, which never grows past that: a longer line is consumed up to and
+/// including its newline (or EOF) and comes back as
+/// [`QueryLine::TooLong`]. Invalid UTF-8 is replaced, not fatal. `None` at
+/// EOF.
+fn read_query_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<QueryLine>> {
+    buf.clear();
+    let (mut seen, mut too_long) = (false, false);
+    loop {
+        let avail = match input.fill_buf() {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            break;
+        }
+        seen = true;
+        let newline = avail.iter().position(|&b| b == b'\n');
+        let part = &avail[..newline.unwrap_or(avail.len())];
+        if buf.len() + part.len() > MAX_QUERY_LINE {
+            too_long = true;
+            buf.clear();
+        } else if !too_long {
+            buf.extend_from_slice(part);
+        }
+        let used = part.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if !seen {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(QueryLine::TooLong));
+    }
+    let text = String::from_utf8_lossy(buf);
+    Ok(Some(QueryLine::Text(text.trim_end_matches('\r').to_string())))
+}
+
+/// Answers one input line on `output`; returns whether it was `quit`.
+fn respond(svc: &mut Service<'_>, line: QueryLine, output: &mut impl Write) -> io::Result<bool> {
+    match line {
+        QueryLine::TooLong => {
+            s2s_obs::inc("query.rejected");
+            writeln!(output, "err query line too long")?;
+        }
+        QueryLine::Text(l) if l.trim() == "quit" => return Ok(true),
+        QueryLine::Text(l) if l.trim().is_empty() => {}
+        QueryLine::Text(l) => writeln!(output, "{}", svc.answer(&l))?,
+    }
+    Ok(false)
 }
 
 /// A batch baseline over the same mesh: the merged store, its digest, and
@@ -892,6 +1051,260 @@ mod tests {
             );
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// Advances `svc` to epoch `until`, checkpointing to `path` every
+    /// `every` epochs.
+    fn drive(svc: &mut Service<'_>, path: &Path, until: usize, every: usize) {
+        while svc.next_epoch() < until && svc.advance() {
+            if svc.next_epoch().is_multiple_of(every) {
+                svc.checkpoint(path).unwrap();
+            }
+        }
+    }
+
+    /// Digest, profile lines, report and timelines all byte-equal.
+    fn assert_same_state(got: &Service<'_>, want: &Service<'_>, case: &str) {
+        assert_eq!(got.digest(), want.digest(), "{case}: digest diverged");
+        assert_eq!(
+            profile_lines(got.profiles()),
+            profile_lines(want.profiles()),
+            "{case}: profiles diverged"
+        );
+        assert_eq!(got.report(), want.report(), "{case}: report diverged");
+        assert_eq!(
+            got.analysis().timelines(),
+            want.analysis().timelines(),
+            "{case}: timelines diverged"
+        );
+    }
+
+    /// The `SERVICE` epochs of the log's chunks, its valid length and
+    /// whether it ended in damage.
+    fn log_epochs(path: &Path) -> (Vec<usize>, u64, bool) {
+        let mut log = snapshot::LogReader::open(path).unwrap();
+        let mut epochs = Vec::new();
+        while let Some(chunk) = log.next_chunk().unwrap() {
+            epochs.push(chunk.sinks[0]["SERVICE|".len()..].parse().unwrap());
+        }
+        (epochs, log.offset(), log.damage().is_some())
+    }
+
+    fn profile_tag(profile: &FaultProfile) -> &'static str {
+        if profile.is_quiet() {
+            "quiet"
+        } else {
+            "noisy"
+        }
+    }
+
+    #[test]
+    fn multi_chunk_log_resumes_byte_identically() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let path = tmp(&format!("service-chunks-{}.snap", profile_tag(&profile)));
+            let cfg = || cfg_with(profile, Some(path.clone()));
+            let mut reference = Service::new(&scenario, cfg_with(profile, None));
+            while reference.advance() {}
+            // Checkpoints every 3 epochs; killed at epochs 8, 10 and 11,
+            // each time resuming from the log the previous run left.
+            let mut svc = Service::new(&scenario, cfg());
+            for (kill, resumes_at) in [(8, 6), (10, 9), (11, 9)] {
+                drive(&mut svc, &path, kill, 3);
+                assert_eq!(svc.next_epoch(), kill);
+                drop(svc);
+                let chunks: Vec<usize> = (1..=resumes_at / 3).map(|k| 3 * k).collect();
+                assert_eq!(log_epochs(&path), (chunks, std::fs::metadata(&path).unwrap().len(), false));
+                svc = Service::resume(&scenario, cfg(), &path).unwrap();
+                assert_eq!(svc.resumed_from(), Some(resumes_at), "killed at {kill}");
+            }
+            drive(&mut svc, &path, usize::MAX, 3);
+            assert_same_state(&svc, &reference, profile_tag(&profile));
+            // The last checkpoint compacted the log into one snapshot.
+            let snap = snapshot::open_file(&path).unwrap();
+            assert_eq!(store_digest(&snap.store), reference.digest());
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn torn_tails_resume_at_the_previous_trailer() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let path = tmp(&format!("service-torn-{}.snap", profile_tag(&profile)));
+            let cfg = || cfg_with(profile, Some(path.clone()));
+            let mut reference = Service::new(&scenario, cfg_with(profile, None));
+            while reference.advance() {}
+            let mut victim = Service::new(&scenario, cfg());
+            drive(&mut victim, &path, 6, 3);
+            let prefix = std::fs::metadata(&path).unwrap().len();
+            drive(&mut victim, &path, 10, 3);
+            drop(victim);
+            let log = std::fs::read(&path).unwrap();
+            let last = log.len() - prefix as usize;
+            let offsets: Vec<usize> =
+                (0..12).map(|k| prefix as usize + 1 + k * (last - 2) / 11).collect();
+            for &at in &offsets {
+                let mut flipped = log.clone();
+                flipped[at] ^= 0x41;
+                for (how, damaged) in [("cut", &log[..at]), ("flip", &flipped[..])] {
+                    let case = format!("{} {how} at {at}", profile_tag(&profile));
+                    std::fs::write(&path, damaged).unwrap();
+                    let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
+                    assert_eq!(svc.resumed_from(), Some(6), "{case}");
+                    // The next append cuts the damage and re-appends the
+                    // lost chunk byte for byte.
+                    drive(&mut svc, &path, 9, 3);
+                    assert_eq!(std::fs::read(&path).unwrap(), log, "{case}");
+                    assert_eq!(log_epochs(&path), (vec![3, 6, 9], log.len() as u64, false), "{case}");
+                    drive(&mut svc, &path, 12, 3);
+                    assert_eq!(log_epochs(&path).0, [3, 6, 9, 12], "{case}");
+                    drop(svc);
+                    let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
+                    assert_eq!(svc.resumed_from(), Some(12), "{case}");
+                    while svc.advance() {}
+                    assert_same_state(&svc, &reference, &case);
+                }
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn single_snapshot_checkpoint_with_profiles_still_resumes() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let path = tmp(&format!("service-legacy-{}.snap", profile_tag(&profile)));
+            let cfg = || cfg_with(profile, Some(path.clone()));
+            let mut reference = Service::new(&scenario, cfg_with(profile, None));
+            while reference.advance() {}
+            // One snapshot of the merged store with every profile line, at
+            // an intermediate epoch: the checkpoint format before logs.
+            let mut old = Service::new(&scenario, cfg_with(profile, None));
+            for _ in 0..5 {
+                old.advance();
+            }
+            let mut lines = vec!["SERVICE|5".to_string(), old.report().to_line()];
+            lines.extend(profile_lines(old.profiles()));
+            snapshot::write_file(&path, &old.merged_store(), &lines).unwrap();
+            let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
+            assert_eq!(svc.resumed_from(), Some(5));
+            // Chunks append after it, and the mixed log resumes too.
+            drive(&mut svc, &path, 11, 3);
+            drop(svc);
+            assert_eq!(log_epochs(&path).0, [5, 6, 9]);
+            let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
+            assert_eq!(svc.resumed_from(), Some(9));
+            while svc.advance() {}
+            assert_same_state(&svc, &reference, profile_tag(&profile));
+            // Profile lines that disagree with the records are an error.
+            let mut wrong = lines.clone();
+            wrong.swap(2, 3);
+            snapshot::write_file(&path, &old.merged_store(), &wrong).unwrap();
+            let err = Service::resume(&scenario, cfg(), &path).map(|_| ()).unwrap_err();
+            assert!(err.to_string().contains("profile"), "got: {err}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn periodic_checkpoints_write_only_the_delta() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let path = tmp(&format!("service-delta-{}.snap", profile_tag(&profile)));
+            let mut svc = Service::new(&scenario, cfg_with(profile, Some(path.clone())));
+            let mut sizes = Vec::new();
+            for _ in 0..12 {
+                svc.advance();
+                sizes.push(svc.checkpoint(&path).unwrap());
+            }
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), sizes.iter().sum::<u64>());
+            let (epochs, _, damaged) = log_epochs(&path);
+            assert_eq!(epochs, (1..=12).collect::<Vec<_>>());
+            assert!(!damaged);
+            for (k, &b) in sizes.iter().enumerate() {
+                assert!(
+                    b * 2 <= sizes[0] * 3,
+                    "{}: chunk {k} is {b} bytes, the first {}",
+                    profile_tag(&profile),
+                    sizes[0]
+                );
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn completion_compacts_the_log_into_one_snapshot() {
+        let scenario = tiny_scenario();
+        let path = tmp("service-compact.snap");
+        let mut svc = Service::new(&scenario, cfg_with(noisy(), Some(path.clone())));
+        drive(&mut svc, &path, usize::MAX, 5);
+        let bytes = svc.checkpoint(&path).unwrap();
+        // What perfbench and `reproduce` reopen: one strict snapshot of the
+        // merged store with the state, report and profile lines.
+        let snap = snapshot::open_file(&path).unwrap();
+        assert_eq!(store_digest(&snap.store), svc.digest());
+        assert_eq!(snap.store.len(), svc.n_epochs() * svc.profiles().len());
+        let mut lines = vec![format!("SERVICE|{}", svc.n_epochs()), svc.report().to_line()];
+        lines.extend(profile_lines(svc.profiles()));
+        assert_eq!(snap.sinks, lines);
+        let mut want = Vec::new();
+        snapshot::write(&mut want, &svc.merged_store(), &lines, s2s_probe::env::snapshot_block())
+            .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), want, "the compacted file is one snapshot");
+        assert_eq!(bytes, want.len() as u64);
+        // A fresh service never extends a stale file: its first checkpoint
+        // replaces it.
+        let mut fresh = Service::new(&scenario, cfg_with(noisy(), Some(path.clone())));
+        fresh.advance();
+        fresh.checkpoint(&path).unwrap();
+        assert_eq!(log_epochs(&path).0, [1]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn oversize_query_lines_are_refused_and_skipped() {
+        let huge = 4 << 20;
+        let mut input = io::BufReader::new(
+            io::Read::chain(io::Read::take(io::repeat(b'x'), huge), &b"\nstats\r\nquit"[..]),
+        );
+        let mut buf = Vec::with_capacity(MAX_QUERY_LINE);
+        assert_eq!(read_query_line(&mut input, &mut buf).unwrap(), Some(QueryLine::TooLong));
+        assert!(buf.capacity() <= MAX_QUERY_LINE, "the line buffer stays bounded");
+        assert_eq!(
+            read_query_line(&mut input, &mut buf).unwrap(),
+            Some(QueryLine::Text("stats".into()))
+        );
+        assert_eq!(
+            read_query_line(&mut input, &mut buf).unwrap(),
+            Some(QueryLine::Text("quit".into()))
+        );
+        assert_eq!(read_query_line(&mut input, &mut buf).unwrap(), None);
+        // A line of exactly the cap is still a query.
+        let exact = format!("{}\n", " ".repeat(MAX_QUERY_LINE - 5) + "stats");
+        let mut input = exact.as_bytes();
+        assert_eq!(
+            read_query_line(&mut input, &mut buf).unwrap(),
+            Some(QueryLine::Text(exact.trim_end().to_string()))
+        );
+        // Through the daemon: the long line gets an error, `stats` after
+        // it is answered.
+        let scenario = tiny_scenario();
+        let input = io::BufReader::new(io::Read::chain(
+            io::Read::take(io::repeat(b'x'), huge),
+            &b"\nstats\n"[..],
+        ));
+        let mut out = Vec::new();
+        let cfg = cfg_with(FaultProfile::default(), None);
+        let outcome = serve(&scenario, cfg, Some(1), input, &mut out).unwrap();
+        assert_eq!(outcome.exit, ExitCode::Ok);
+        let text = String::from_utf8(out).unwrap();
+        let answers: Vec<&str> =
+            text.lines().filter(|l| l.starts_with("ok") || l.starts_with("err")).collect();
+        assert_eq!(answers.len(), 2, "got: {text}");
+        assert_eq!(answers[0], "err query line too long");
+        assert!(answers[1].starts_with("ok {\"cmd\":\"stats\""), "got: {text}");
     }
 
     #[test]

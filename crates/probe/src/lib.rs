@@ -76,7 +76,9 @@ pub use fabric::{
 };
 pub use faults::{FaultInjector, FaultProfile, ProbeFault};
 pub use records::{HopObs, PingRecord, TracerouteRecord};
-pub use snapshot::{ShardDir, Snapshot, SnapshotOptions, SnapshotReader, SnapshotReport};
+pub use snapshot::{
+    LogReader, ShardDir, Snapshot, SnapshotOptions, SnapshotReader, SnapshotReport,
+};
 pub use store::{StoreStats, TraceStore, TraceView};
 pub use stream::{PairProfile, PairProfileSink, StreamSink, TimelineSink};
 pub use tracer::{trace, TraceOptions, TracerouteMode};

@@ -46,7 +46,19 @@
 //!   lines (bit-exact strings, PR 5), so a campaign's sketch/sink results
 //!   ride in the same file and reopen without replay.
 //! * `END` — the totals (traces, sinks). A snapshot without its `END`
-//!   segment was torn mid-write.
+//!   segment was torn mid-write, and a snapshot ends at its `END`: any
+//!   byte after it is damage (an error when strict, a counted
+//!   [`SnapshotReport::trailing_bytes`] note when lossy), so a log of
+//!   several snapshots never opens as its first one.
+//!
+//! ## Logs of snapshots
+//!
+//! An append-only writer ([`append_file`]) leaves a *log*: complete
+//! snapshots back to back, each with its own prologue and `END`. A
+//! [`LogReader`] reads such a log one chunk at a time, strictly, and
+//! reports the byte offset just past the last chunk that read cleanly;
+//! a torn or damaged chunk ends the log there, and the caller cuts the
+//! file back to that offset before appending again.
 //!
 //! ## Opening: `Snapshot::options()`
 //!
@@ -89,7 +101,7 @@
 
 use crate::store::TraceStore;
 use s2s_types::{ClusterId, Coverage, SimTime};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, Write};
 use std::net::IpAddr;
 use std::path::Path;
 
@@ -159,6 +171,10 @@ pub struct SnapshotReport {
     /// snapshot carries *no* data at all, which callers (e.g. `reproduce`)
     /// report separately. Always implies [`SnapshotReport::torn`].
     pub empty: bool,
+    /// Bytes found after the `END` segment. A snapshot ends at its `END`,
+    /// so these are damage: another snapshot appended to this one (read
+    /// such logs with [`LogReader`]) or stray bytes.
+    pub trailing_bytes: usize,
     /// The first [`SnapshotReport::MAX_SAMPLED_ERRORS`] damage reasons.
     pub first_errors: Vec<String>,
 }
@@ -185,6 +201,7 @@ impl SnapshotReport {
             && self.skipped_segments == 0
             && !self.torn
             && !self.empty
+            && self.trailing_bytes == 0
     }
 
     /// Folds another report into this one — what [`absorb_files`] does per
@@ -198,6 +215,7 @@ impl SnapshotReport {
         self.skipped_segments += other.skipped_segments;
         self.torn |= other.torn;
         self.empty |= other.empty;
+        self.trailing_bytes = self.trailing_bytes.saturating_add(other.trailing_bytes);
         for e in &other.first_errors {
             self.note(e.clone());
         }
@@ -212,6 +230,7 @@ impl SnapshotReport {
         registry.gauge("snapshot.skipped_segments").set(self.skipped_segments as u64);
         registry.gauge("snapshot.torn").set(u64::from(self.torn));
         registry.gauge("snapshot.empty").set(u64::from(self.empty));
+        registry.gauge("snapshot.trailing_bytes").set(self.trailing_bytes as u64);
     }
 }
 
@@ -350,46 +369,105 @@ fn encode_addr(buf: &mut Vec<u8>, addr: IpAddr) {
     }
 }
 
-fn encode_block(store: &TraceStore, range: std::ops::Range<usize>) -> Vec<u8> {
+/// Encodes traces `range` of `store` into `buf` (cleared first, so one
+/// buffer serves every block of a write).
+fn encode_block(buf: &mut Vec<u8>, store: &TraceStore, range: std::ops::Range<usize>) {
     let n = range.len();
     let hop_base = store.rtt_offsets[range.start] as usize;
     let hop_end = store.rtt_offsets[range.end] as usize;
     let n_hops = hop_end - hop_base;
-    let mut buf = Vec::with_capacity(n * 44 + n_hops * 9 + 32);
+    buf.clear();
+    buf.reserve(n * 44 + n_hops * 9 + 32);
     for i in range.clone() {
-        put_u32(&mut buf, store.srcs[i].0);
+        put_u32(buf, store.srcs[i].0);
     }
     for i in range.clone() {
-        put_u32(&mut buf, store.dsts[i].0);
+        put_u32(buf, store.dsts[i].0);
     }
     for i in range.clone() {
-        put_u32(&mut buf, store.times[i].0);
+        put_u32(buf, store.times[i].0);
     }
     for i in range.clone() {
-        put_u32(&mut buf, store.seqs[i]);
+        put_u32(buf, store.seqs[i]);
     }
     for i in range.clone() {
-        put_u32(&mut buf, store.src_addrs[i]);
+        put_u32(buf, store.src_addrs[i]);
     }
     for i in range.clone() {
-        put_u32(&mut buf, store.dst_addrs[i]);
+        put_u32(buf, store.dst_addrs[i]);
     }
     for i in range.clone() {
-        put_u64(&mut buf, store.e2e[i].to_bits());
+        put_u64(buf, store.e2e[i].to_bits());
     }
-    pack_bits(&mut buf, n, |k| store.e2e_some.get(range.start + k));
-    pack_bits(&mut buf, n, |k| store.reached.get(range.start + k));
-    pack_bits(&mut buf, n, |k| store.proto_v6.get(range.start + k));
+    pack_bits(buf, n, |k| store.e2e_some.get(range.start + k));
+    pack_bits(buf, n, |k| store.reached.get(range.start + k));
+    pack_bits(buf, n, |k| store.proto_v6.get(range.start + k));
     for i in range.clone() {
         let hops = store.rtt_offsets[i + 1] - store.rtt_offsets[i];
-        put_u32(&mut buf, hops);
+        put_u32(buf, hops);
     }
-    put_u64(&mut buf, n_hops as u64);
+    put_u64(buf, n_hops as u64);
     for k in hop_base..hop_end {
-        put_u64(&mut buf, store.rtts[k].to_bits());
+        put_u64(buf, store.rtts[k].to_bits());
     }
-    pack_bits(&mut buf, n_hops, |k| store.rtt_some.get(hop_base + k));
-    buf
+    pack_bits(buf, n_hops, |k| store.rtt_some.get(hop_base + k));
+}
+
+/// The prologue and the arena segments (`ADDR`, `SEQ`) of `arena`.
+fn write_head<W: Write>(w: &mut W, arena: &TraceStore) -> io::Result<u64> {
+    w.write_all(MAGIC)?;
+    w.write_all(&VERSION.to_le_bytes())?;
+    let mut written = (MAGIC.len() + 4) as u64;
+
+    let mut addr_buf = Vec::new();
+    for &a in arena.addrs() {
+        encode_addr(&mut addr_buf, a);
+    }
+    written += write_segment(w, TAG_ADDR, arena.addr_count() as u64, &addr_buf)?;
+
+    let mut seq_buf = Vec::new();
+    put_u64(&mut seq_buf, arena.seq_data.len() as u64);
+    for &d in &arena.seq_data {
+        put_u32(&mut seq_buf, d);
+    }
+    // End offsets only: offsets[0] is always 0.
+    for &o in &arena.seq_offsets[1..] {
+        put_u32(&mut seq_buf, o);
+    }
+    written += write_segment(w, TAG_SEQ, arena.seq_count() as u64, &seq_buf)?;
+    Ok(written)
+}
+
+/// One `BLOCK` segment of traces `range` of `store`, encoded through the
+/// reused `payload` buffer.
+fn write_block<W: Write>(
+    w: &mut W,
+    payload: &mut Vec<u8>,
+    store: &TraceStore,
+    range: std::ops::Range<usize>,
+) -> io::Result<u64> {
+    encode_block(payload, store, range.clone());
+    write_segment(w, TAG_BLOCK, range.len() as u64, payload)
+}
+
+/// The `SINK` segment (when there are sink states) and the `END` totals,
+/// then a flush.
+fn write_tail<W: Write>(w: &mut W, traces: usize, sinks: &[String]) -> io::Result<u64> {
+    let mut written = 0;
+    if !sinks.is_empty() {
+        let mut sink_buf = Vec::new();
+        for s in sinks {
+            put_u32(&mut sink_buf, s.len() as u32);
+            sink_buf.extend_from_slice(s.as_bytes());
+        }
+        written += write_segment(w, TAG_SINK, sinks.len() as u64, &sink_buf)?;
+    }
+    let mut end_buf = Vec::new();
+    put_u64(&mut end_buf, traces as u64);
+    put_u64(&mut end_buf, sinks.len() as u64);
+    written += write_segment(w, TAG_END, traces as u64, &end_buf)?;
+    w.flush()?;
+    Ok(written)
 }
 
 /// Writes a snapshot of `store` (plus optional serialized sink states) with
@@ -401,61 +479,112 @@ pub fn write<W: Write>(
     block_traces: usize,
 ) -> io::Result<u64> {
     let block_traces = block_traces.max(1);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    let mut written = (MAGIC.len() + 4) as u64;
-
-    let mut addr_buf = Vec::new();
-    for &a in store.addrs() {
-        encode_addr(&mut addr_buf, a);
-    }
-    written += write_segment(w, TAG_ADDR, store.addr_count() as u64, &addr_buf)?;
-
-    let mut seq_buf = Vec::new();
-    put_u64(&mut seq_buf, store.seq_data.len() as u64);
-    for &d in &store.seq_data {
-        put_u32(&mut seq_buf, d);
-    }
-    // End offsets only: offsets[0] is always 0.
-    for &o in &store.seq_offsets[1..] {
-        put_u32(&mut seq_buf, o);
-    }
-    written += write_segment(w, TAG_SEQ, store.seq_count() as u64, &seq_buf)?;
-
-    let mut start = 0;
-    while start < store.len() {
+    let mut written = write_head(w, store)?;
+    let mut payload = Vec::new();
+    for start in (0..store.len()).step_by(block_traces) {
         let end = (start + block_traces).min(store.len());
-        let payload = encode_block(store, start..end);
-        written += write_segment(w, TAG_BLOCK, (end - start) as u64, &payload)?;
-        start = end;
+        written += write_block(w, &mut payload, store, start..end)?;
     }
+    Ok(written + write_tail(w, store.len(), sinks)?)
+}
 
-    if !sinks.is_empty() {
-        let mut sink_buf = Vec::new();
-        for s in sinks {
-            put_u32(&mut sink_buf, s.len() as u32);
-            sink_buf.extend_from_slice(s.as_bytes());
+/// Row ranges of stores, concatenated in order.
+pub type Parts<'a> = [(&'a TraceStore, std::ops::Range<usize>)];
+
+/// Writes the snapshot [`write()`] would write for the concatenation of
+/// `parts` — the store that pushing every part's rows' records in order
+/// builds, which for whole parts built by pushing is their
+/// [`TraceStore::absorb`] merge — without building it: the rows'
+/// addresses and hop sequences intern into one arena first (in the order
+/// a push would meet them), then the rows stream through one block-sized
+/// buffer. Beyond the parts themselves this holds the merged arena and one
+/// block, not a copy of every row. Returns the bytes written.
+pub fn write_parts<W: Write>(
+    w: &mut W,
+    parts: &Parts<'_>,
+    sinks: &[String],
+    block_traces: usize,
+) -> io::Result<u64> {
+    let block_traces = block_traces.max(1);
+    let mut arena = TraceStore::new();
+    let maps: Vec<(Vec<u32>, Vec<u32>)> =
+        parts.iter().map(|(st, rows)| arena.intern_rows(st, rows.clone())).collect();
+    let mut written = write_head(w, &arena)?;
+    drop(arena);
+    // The batch's ids point into the merged arena just written; it holds
+    // rows only.
+    let (mut batch, mut payload, mut traces) = (TraceStore::new(), Vec::new(), 0);
+    for ((st, rows), (addr_map, seq_map)) in parts.iter().zip(&maps) {
+        let mut at = rows.start;
+        while at < rows.end {
+            let end = rows.end.min(at + block_traces - batch.len());
+            batch.absorb_rows(st, at..end, addr_map, seq_map);
+            at = end;
+            if batch.len() == block_traces {
+                written += write_block(w, &mut payload, &batch, 0..block_traces)?;
+                batch.clear_traces();
+            }
         }
-        written += write_segment(w, TAG_SINK, sinks.len() as u64, &sink_buf)?;
+        traces += rows.len();
     }
+    if !batch.is_empty() {
+        written += write_block(w, &mut payload, &batch, 0..batch.len())?;
+    }
+    Ok(written + write_tail(w, traces, sinks)?)
+}
 
-    let mut end_buf = Vec::new();
-    put_u64(&mut end_buf, store.len() as u64);
-    put_u64(&mut end_buf, sinks.len() as u64);
-    written += write_segment(w, TAG_END, store.len() as u64, &end_buf)?;
-    w.flush()?;
-    Ok(written)
+/// Writes through `write` to a `.tmp` sibling of `path`, syncs it and
+/// renames it into place, so a crash mid-write leaves no half-snapshot
+/// under the final name.
+fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<u64>,
+) -> io::Result<u64> {
+    let tmp = path.with_extension("snap.tmp");
+    let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
+    let bytes = write(&mut f)?;
+    f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    Ok(bytes)
 }
 
 /// [`write()`] to a file path, block size from the `S2S_SNAPSHOT_BLOCK` knob.
 /// The file is written to a `.tmp` sibling and renamed into place, so a
 /// crash mid-write leaves no half-snapshot under the final name.
 pub fn write_file(path: &Path, store: &TraceStore, sinks: &[String]) -> io::Result<u64> {
-    let tmp = path.with_extension("snap.tmp");
-    let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
-    let bytes = write(&mut f, store, sinks, crate::env::snapshot_block())?;
-    f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
+    replace_file(path, |w| write(w, store, sinks, crate::env::snapshot_block()))
+}
+
+/// [`write_parts`] to a file path, written and renamed into place as
+/// [`write_file`] does.
+pub fn write_file_parts(path: &Path, parts: &Parts<'_>, sinks: &[String]) -> io::Result<u64> {
+    replace_file(path, |w| write_parts(w, parts, sinks, crate::env::snapshot_block()))
+}
+
+/// Appends the snapshot of `parts` (plus sink lines, see [`write_parts`])
+/// to the log at `path` as one more chunk, after cutting the file back to
+/// `at` bytes — the end of its last valid chunk ([`LogReader::offset`]),
+/// so bytes a torn earlier append left behind never sit between two
+/// chunks. Synced before it returns. Returns the bytes appended.
+pub fn append_file(
+    path: &Path,
+    at: u64,
+    parts: &Parts<'_>,
+    sinks: &[String],
+) -> io::Result<u64> {
+    let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+    let len = file.metadata()?.len();
+    if len < at {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("log {} holds {len} bytes, its valid chunks end at {at}", path.display()),
+        ));
+    }
+    file.set_len(at)?;
+    file.seek(io::SeekFrom::Start(at))?;
+    let mut w = io::BufWriter::new(file);
+    let bytes = write_parts(&mut w, parts, sinks, crate::env::snapshot_block())?;
+    w.into_inner().map_err(|e| e.into_error())?.sync_data()?;
     Ok(bytes)
 }
 
@@ -769,7 +898,7 @@ impl SnapshotOptions {
 
     /// Opens a snapshot from any byte stream as a [`SnapshotReader`].
     pub fn open_reader<R: Read>(&self, input: R) -> io::Result<SnapshotReader<R>> {
-        SnapshotReader::new(input, self.lossy, self.budget())
+        SnapshotReader::new(input, self.lossy, self.budget(), false)
     }
 
     /// Wraps a directory of per-shard `.snap` files (what the fabric
@@ -868,10 +997,13 @@ pub struct SnapshotReader<R: Read = io::BufReader<std::fs::File>> {
     saw_end: bool,
     end_totals: Option<(u64, u64)>,
     peak_resident: usize,
+    /// Stop at `END` without looking further: the stream is a log and the
+    /// next chunk starts there ([`LogReader`]).
+    chunk: bool,
 }
 
 impl<R: Read> SnapshotReader<R> {
-    fn new(input: R, lossy: bool, budget: usize) -> io::Result<SnapshotReader<R>> {
+    fn new(input: R, lossy: bool, budget: usize, chunk: bool) -> io::Result<SnapshotReader<R>> {
         let mut reader = SnapshotReader {
             input,
             lossy,
@@ -885,6 +1017,7 @@ impl<R: Read> SnapshotReader<R> {
             saw_end: false,
             end_totals: None,
             peak_resident: 0,
+            chunk,
         };
         match read_prologue(&mut reader.input)? {
             Prologue::Ready => reader.load_arenas()?,
@@ -1051,7 +1184,22 @@ impl<R: Read> SnapshotReader<R> {
             self.report.note(format!("segment tag {}: {msg}", header.tag));
         }
         if self.saw_end {
+            if !self.chunk {
+                self.count_trailing()?;
+            }
             self.finish();
+        }
+        Ok(())
+    }
+
+    /// Counts whatever follows a valid `END` as damage: the snapshot ended
+    /// there, so a further byte is another snapshot appended to this one
+    /// or stray bytes.
+    fn count_trailing(&mut self) -> io::Result<()> {
+        let extra = io::copy(&mut self.input, &mut io::sink())?;
+        if extra > 0 {
+            self.report.trailing_bytes = count_of(extra);
+            self.report.note(format!("{extra} trailing byte(s) after END"));
         }
         Ok(())
     }
@@ -1083,6 +1231,12 @@ impl<R: Read> SnapshotReader<R> {
             .first()
             .cloned()
             .unwrap_or_else(|| "torn snapshot".into());
+        if self.report.trailing_bytes > 0 && self.report.skipped_traces == 0 {
+            return io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("corrupt snapshot: {detail} (a log of snapshots?)"),
+            );
+        }
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
@@ -1164,6 +1318,83 @@ impl<R: Read> SnapshotReader<R> {
     }
 }
 
+/// Counts the bytes read through it: where one log chunk ended.
+struct Counted<R> {
+    inner: R,
+    bytes: u64,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+}
+
+/// Reads a log of back-to-back snapshots ([`append_file`]'s output) one
+/// chunk at a time. Every chunk is read strictly and materialized; the
+/// first chunk that does not read cleanly — torn, bit-flipped, foreign —
+/// ends the log, and [`LogReader::damage`] says why. [`LogReader::offset`]
+/// is the byte just past the last chunk returned: the length of the log's
+/// valid prefix once [`LogReader::next_chunk`] has returned `None`.
+pub struct LogReader<R: Read = io::BufReader<std::fs::File>> {
+    input: Counted<R>,
+    offset: u64,
+    damage: Option<String>,
+    done: bool,
+}
+
+impl LogReader {
+    /// Opens the log at `path`.
+    pub fn open(path: &Path) -> io::Result<LogReader> {
+        Ok(LogReader::new(io::BufReader::new(std::fs::File::open(path)?)))
+    }
+}
+
+impl<R: Read> LogReader<R> {
+    /// A log reader over any byte stream.
+    pub fn new(input: R) -> LogReader<R> {
+        LogReader { input: Counted { inner: input, bytes: 0 }, offset: 0, damage: None, done: false }
+    }
+
+    /// The next chunk, or `None` at the end of the log: a clean end right
+    /// after a chunk, or the first chunk that did not read cleanly (see
+    /// [`LogReader::damage`]). I/O errors other than damage propagate.
+    pub fn next_chunk(&mut self) -> io::Result<Option<Snapshot>> {
+        if self.done {
+            return Ok(None);
+        }
+        let read = SnapshotReader::new(&mut self.input, false, usize::MAX, true)
+            .and_then(SnapshotReader::into_snapshot);
+        match read {
+            Ok((snap, _)) => {
+                self.offset = self.input.bytes;
+                Ok(Some(snap))
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                self.done = true;
+                if self.input.bytes > self.offset {
+                    self.damage = Some(e.to_string());
+                }
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Bytes from the start of the log to the end of the last chunk
+    /// returned.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Why the log ended early, if a chunk did not read cleanly.
+    pub fn damage(&self) -> Option<&str> {
+        self.damage.as_deref()
+    }
+}
+
 /// Streams N per-shard snapshot files into `store`, holding at most one
 /// shard's arena plus one batch in memory. Per shard: the arenas are
 /// interned into `store` once (`TraceStore::absorb_maps` — id order,
@@ -1183,7 +1414,7 @@ pub fn absorb_files<P: AsRef<Path>>(
         let mut reader = options.open(p.as_ref())?;
         let (addr_map, seq_map) = store.absorb_maps(reader.arena());
         while let Some(batch) = reader.next_batch()? {
-            store.absorb_rows(batch, &addr_map, &seq_map);
+            store.absorb_rows(batch, 0..batch.len(), &addr_map, &seq_map);
         }
         merged.merge(reader.report());
         sinks.append(&mut reader.take_sinks());
@@ -1401,6 +1632,117 @@ mod tests {
                 Err(_) => assert!(pos < 12 + HEADER_BYTES + buf.len()),
             }
         }
+    }
+
+    #[test]
+    fn bytes_after_end_are_damage() {
+        let store = sample_store();
+        let first = snapshot_bytes(&store, &["S|a".to_string()], 2);
+        let second = snapshot_bytes(&TraceStore::from_records(&store.to_records()[..1]), &[], 2);
+        let mut log = first.clone();
+        log.extend_from_slice(&second);
+        let mut stray = first.clone();
+        stray.extend_from_slice(b"xyz");
+        for (case, bytes, extra) in [("log", &log, second.len()), ("stray", &stray, 3)] {
+            let err = read(&mut bytes.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("trailing byte"), "{case}: {err}");
+            let (snap, report) = read_lossy(&mut bytes.as_slice()).unwrap();
+            assert_eq!(report.trailing_bytes, extra, "{case}");
+            assert!(!report.clean(), "{case}");
+            assert!(report.first_errors.iter().any(|e| e.contains("after END")), "{case}");
+            assert_eq!(snap.store.to_records(), store.to_records(), "{case}: first chunk loads");
+            assert_eq!(snap.sinks, ["S|a"], "{case}");
+            assert_eq!((report.skipped_traces, report.skipped_segments), (0, 0), "{case}");
+        }
+        // Streamed opens see the same damage once the stream is drained.
+        let mut reader = Snapshot::options().stream(true).block_budget(1).open_reader(log.as_slice()).unwrap();
+        let err = loop {
+            match reader.next_batch() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("strict stream accepted trailing bytes"),
+                Err(e) => break e,
+            }
+        };
+        assert!(err.to_string().contains("trailing byte"), "{err}");
+    }
+
+    #[test]
+    fn log_reader_reads_chunks_up_to_the_first_damage() {
+        let store = sample_store();
+        let recs = store.to_records();
+        let chunks: Vec<Vec<u8>> = (0..3)
+            .map(|k| {
+                let part = TraceStore::from_records(&recs[k..k + 2]);
+                snapshot_bytes(&part, &[format!("S|{k}")], 1)
+            })
+            .collect();
+        let log: Vec<u8> = chunks.concat();
+        let ends: Vec<u64> =
+            chunks.iter().scan(0, |end, c| { *end += c.len() as u64; Some(*end) }).collect();
+        let read_all = |bytes: &[u8]| {
+            let mut reader = LogReader::new(bytes);
+            let mut got = Vec::new();
+            while let Some(chunk) = reader.next_chunk().unwrap() {
+                got.push(chunk.sinks[0].clone());
+            }
+            (got, reader.offset(), reader.damage().map(str::to_string))
+        };
+        assert_eq!(read_all(&log), (vec!["S|0".into(), "S|1".into(), "S|2".into()], ends[2], None));
+        assert_eq!(read_all(&[]), (vec![], 0, None), "an empty log has no chunks and no damage");
+        // Every cut inside the last chunk, and every flipped byte there,
+        // ends the log after the second chunk.
+        for pos in ends[1] as usize..log.len() {
+            let (got, offset, damage) = read_all(&log[..pos]);
+            assert_eq!((got.len(), offset), (2, ends[1]), "cut at {pos}");
+            assert_eq!(damage.is_some(), pos > ends[1] as usize, "cut at {pos}");
+            let mut flipped = log.clone();
+            flipped[pos] ^= 0x41;
+            let (got, offset, damage) = read_all(&flipped);
+            assert_eq!((got.len(), offset), (2, ends[1]), "flip at {pos}");
+            assert!(damage.is_some(), "flip at {pos}");
+        }
+        // Stray bytes after a chunk are damage too.
+        let mut stray = log.clone();
+        stray.extend_from_slice(b"S2S");
+        let (got, offset, damage) = read_all(&stray);
+        assert_eq!((got.len(), offset), (3, ends[2]));
+        assert!(damage.is_some());
+    }
+
+    #[test]
+    fn append_file_cuts_back_to_the_valid_prefix() {
+        let dir = shard_tmp_dir("append");
+        let path = dir.join("log.snap");
+        let store = sample_store();
+        let recs = store.to_records();
+        let first = TraceStore::from_records(&recs[..2]);
+        let second = TraceStore::from_records(&recs[2..]);
+        let a = write_file(&path, &first, &["S|0".to_string()]).unwrap();
+        fn whole(st: &TraceStore) -> [(&TraceStore, std::ops::Range<usize>); 1] {
+            [(st, 0..st.len())]
+        }
+        let b = append_file(&path, a, &whole(&second), &["S|1".to_string()]).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), a + b);
+        // A torn third append leaves junk; appending at the valid prefix
+        // replaces it, and the log reads back clean.
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&snapshot_bytes(&first, &[], 1)[..40]).unwrap();
+        drop(f);
+        let c = append_file(&path, a + b, &whole(&first), &["S|2".to_string()]).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), a + b + c);
+        let mut reader = LogReader::open(&path).unwrap();
+        let mut all = TraceStore::new();
+        while let Some(chunk) = reader.next_chunk().unwrap() {
+            all.absorb(&chunk.store);
+        }
+        assert_eq!((reader.offset(), reader.damage()), (a + b + c, None));
+        let mut want = recs.clone();
+        want.extend_from_slice(&recs[..2]);
+        assert_eq!(all.to_records(), want);
+        // A prefix past the end of the file is refused, not zero-filled.
+        assert!(append_file(&path, a + b + c + 1, &whole(&first), &[]).is_err());
+        assert!(open_file(&path).is_err(), "a strict open of a log is an error");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A prologue and one segment whose header checksum is valid for
@@ -1748,6 +2090,44 @@ mod tests {
             let snap = read(&mut buf.as_slice()).unwrap();
             prop_assert_eq!(snap.store.to_records(), recs);
             prop_assert_eq!(snap.store.stats(), store.stats());
+        }
+
+        /// Writing row ranges of several stores is byte-for-byte the
+        /// snapshot of the store their `absorb_range`s build, and for
+        /// whole pushed stores the snapshot of their `absorb` merge — at
+        /// block sizes that cut inside and across parts.
+        #[test]
+        fn prop_write_parts_equals_write_of_the_concatenation(
+            raw in arb_records(),
+            cuts in proptest::collection::vec(0usize..25, 4),
+            block in 1usize..8,
+        ) {
+            let recs = build_records(&raw);
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(recs.len())).collect();
+            cuts.sort_unstable();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([recs.len()]).collect();
+            let stores: Vec<TraceStore> =
+                bounds.windows(2).map(|w| TraceStore::from_records(&recs[w[0]..w[1]])).collect();
+            let sinks = vec!["S|x".to_string()];
+            // Whole parts: the merged store.
+            let whole: Vec<_> = stores.iter().map(|st| (st, 0..st.len())).collect();
+            let mut merged = TraceStore::new();
+            for st in &stores {
+                merged.absorb(st);
+            }
+            let mut got = Vec::new();
+            let n = write_parts(&mut got, &whole, &sinks, block).unwrap();
+            prop_assert_eq!(n as usize, got.len());
+            prop_assert_eq!(&got, &snapshot_bytes(&merged, &sinks, block));
+            // Inner ranges: the `absorb_range` concatenation.
+            let inner: Vec<_> = stores.iter().map(|st| (st, st.len() / 3..st.len() - st.len() / 4)).collect();
+            let mut ranged = TraceStore::new();
+            for (st, rows) in &inner {
+                ranged.absorb_range(st, rows.clone());
+            }
+            let mut got = Vec::new();
+            write_parts(&mut got, &inner, &[], block).unwrap();
+            prop_assert_eq!(&got, &snapshot_bytes(&ranged, &[], block));
         }
 
         /// Truncating at an arbitrary point degrades to counted skips:

@@ -346,7 +346,7 @@ impl TraceStore {
     /// store identical to pushing all records sequentially in that order.
     pub fn absorb(&mut self, other: &TraceStore) {
         let (addr_map, seq_map) = self.absorb_maps(other);
-        self.absorb_rows(other, &addr_map, &seq_map);
+        self.absorb_rows(other, 0..other.len(), &addr_map, &seq_map);
     }
 
     /// First half of [`TraceStore::absorb`]: interns `other`'s full address
@@ -370,36 +370,90 @@ impl TraceStore {
         (addr_map, seq_map)
     }
 
-    /// Second half of [`TraceStore::absorb`]: appends `other`'s per-trace
-    /// rows, remapping ids through maps built by [`TraceStore::absorb_maps`]
-    /// against `other`'s arenas (or a superset — a batch buffer sharing a
-    /// shard's arenas qualifies).
+    /// Second half of [`TraceStore::absorb`]: appends `other`'s rows
+    /// `rows`, remapping ids through maps built by
+    /// [`TraceStore::absorb_maps`] or [`TraceStore::intern_rows`] against
+    /// `other`'s arenas (or a superset — a batch buffer sharing a shard's
+    /// arenas qualifies). Interns nothing, so the target's own arenas may
+    /// be empty: a batch of rows whose ids point into another store's
+    /// arenas.
     pub(crate) fn absorb_rows(
         &mut self,
         other: &TraceStore,
+        rows: std::ops::Range<usize>,
         addr_map: &[u32],
         seq_map: &[u32],
     ) {
         let remap = |id: u32| if id == NO_ADDR { NO_ADDR } else { addr_map[id as usize] };
-        for i in 0..other.len() {
-            self.srcs.push(other.srcs[i]);
-            self.dsts.push(other.dsts[i]);
-            self.times.push(other.times[i]);
-            self.seqs.push(seq_map[other.seqs[i] as usize]);
-            self.src_addrs.push(remap(other.src_addrs[i]));
-            self.dst_addrs.push(remap(other.dst_addrs[i]));
-            self.e2e.push(other.e2e[i]);
+        self.seqs.extend(other.seqs[rows.clone()].iter().map(|&s| seq_map[s as usize]));
+        self.src_addrs.extend(other.src_addrs[rows.clone()].iter().map(|&a| remap(a)));
+        self.dst_addrs.extend(other.dst_addrs[rows.clone()].iter().map(|&a| remap(a)));
+        self.srcs.extend_from_slice(&other.srcs[rows.clone()]);
+        self.dsts.extend_from_slice(&other.dsts[rows.clone()]);
+        self.times.extend_from_slice(&other.times[rows.clone()]);
+        self.e2e.extend_from_slice(&other.e2e[rows.clone()]);
+        for i in rows.clone() {
             self.e2e_some.push(other.e2e_some.get(i));
             self.reached.push(other.reached.get(i));
             self.proto_v6.push(other.proto_v6.get(i));
-            let (a, b) =
-                (other.rtt_offsets[i] as usize, other.rtt_offsets[i + 1] as usize);
-            self.rtts.extend_from_slice(&other.rtts[a..b]);
-            for k in a..b {
-                self.rtt_some.push(other.rtt_some.get(k));
-            }
-            self.rtt_offsets.push(self.rtts.len() as u32);
         }
+        let (a, b) = (other.rtt_offsets[rows.start], other.rtt_offsets[rows.end]);
+        let base = self.rtts.len() as u32;
+        self.rtts.extend_from_slice(&other.rtts[a as usize..b as usize]);
+        for k in a as usize..b as usize {
+            self.rtt_some.push(other.rtt_some.get(k));
+        }
+        let ends = &other.rtt_offsets[rows.start + 1..rows.end + 1];
+        self.rtt_offsets.extend(ends.iter().map(|&o| o - a + base));
+    }
+
+    /// Interns the addresses and hop sequences `other`'s rows `rows` use,
+    /// in the order [`TraceStore::push`] would meet them, and returns the
+    /// id remaps for [`TraceStore::absorb_rows`] (ids the rows do not use
+    /// stay unmapped). Costs O(rows + `other`'s arena ids), not O(`other`).
+    pub(crate) fn intern_rows(
+        &mut self,
+        other: &TraceStore,
+        rows: std::ops::Range<usize>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        const UNMAPPED: u32 = u32::MAX;
+        let mut addr_map = vec![UNMAPPED; other.addr_count()];
+        let mut seq_map = vec![UNMAPPED; other.seq_count()];
+        let mut map_addr = |this: &mut TraceStore, id: u32| {
+            if id == NO_ADDR {
+                return NO_ADDR;
+            }
+            let slot = &mut addr_map[id as usize];
+            if *slot == UNMAPPED {
+                *slot = this.intern_addr(other.addrs[id as usize]);
+            }
+            *slot
+        };
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for i in rows {
+            let s = other.seqs[i] as usize;
+            if seq_map[s] == UNMAPPED {
+                scratch.clear();
+                for &id in other.seq_hops(s as u32) {
+                    scratch.push(map_addr(self, id));
+                }
+                seq_map[s] = self.intern_seq(&scratch);
+            }
+            map_addr(self, other.src_addrs[i]);
+            map_addr(self, other.dst_addrs[i]);
+        }
+        self.scratch = scratch;
+        (addr_map, seq_map)
+    }
+
+    /// Appends rows `rows` of `other`, interning only the addresses and hop
+    /// sequences those rows use, in the order [`TraceStore::push`] would
+    /// meet them — the result equals pushing `other`'s records for `rows`
+    /// one by one. The reference `snapshot::write_parts` is tested against.
+    #[cfg(test)]
+    pub(crate) fn absorb_range(&mut self, other: &TraceStore, rows: std::ops::Range<usize>) {
+        let (addr_map, seq_map) = self.intern_rows(other, rows.clone());
+        self.absorb_rows(other, rows, &addr_map, &seq_map);
     }
 
     /// Drops every per-trace column while keeping the interned address
@@ -801,6 +855,33 @@ mod tests {
             let direct = TraceStore::from_records(&recs);
             prop_assert_eq!(merged.to_records(), direct.to_records());
             prop_assert_eq!(merged.stats(), direct.stats());
+        }
+
+        /// A row-range absorb equals pushing those rows' records onto the
+        /// same store: records, interning order and statistics alike, also
+        /// when the target already holds some of their addresses.
+        #[test]
+        fn prop_absorb_range_matches_push(
+            raw in arb_records(),
+            lo in 0usize..25,
+            hi in 0usize..25,
+            base in 0usize..25,
+        ) {
+            let recs = build_records(&raw);
+            let (lo, hi) = (lo.min(recs.len()), hi.min(recs.len()));
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            let base = &recs[..base.min(recs.len())];
+            let source = TraceStore::from_records(&recs);
+            let mut ranged = TraceStore::from_records(base);
+            ranged.absorb_range(&source, lo..hi);
+            let mut pushed = TraceStore::from_records(base);
+            for r in &recs[lo..hi] {
+                pushed.push(r);
+            }
+            prop_assert_eq!(ranged.to_records(), pushed.to_records());
+            prop_assert_eq!(ranged.addrs(), pushed.addrs());
+            prop_assert_eq!(&ranged.seq_data, &pushed.seq_data);
+            prop_assert_eq!(ranged.stats(), pushed.stats());
         }
 
         /// The dedup accounting identities: hop slots equal the sum of hop
