@@ -131,7 +131,7 @@ echo "==> always-on service smoke: capped daemon, resume, scripted queries, dige
 # run's byte-for-byte, and the service.* / query.* counters must reach
 # --metrics-json.
 rm -f smoke_service.snap
-printf 'stats\npair 0 1 v4\n' |
+{ printf 'stats\npair 0 1 v4\n'; for _ in $(seq 200); do echo stats; done; echo metrics; } |
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 S2S_SERVICE_SNAP_EVERY=3 \
     cargo run -q --release -p s2s-bench --bin reproduce -- serve --epochs 8 \
     --snapshot smoke_service.snap |
@@ -153,6 +153,20 @@ grep -q '"service.resumes"' metrics_service.json
 grep -q '"query.served"' metrics_service.json
 grep -q '"service.checkpoint.appended"' metrics_service.json
 grep -q '"service.checkpoint.compacted"' metrics_service.json
+# Queries are answered while epochs are measured; every stats answer
+# must still show whole epochs: records == epochs × slots.
+slots=$(sed -n 's/^service: \([0-9]*\) slot(s) per epoch.*/\1/p' reproduce_serve1.txt)
+test -n "$slots"
+awk -v slots="$slots" 'index($0, "ok {\"cmd\":\"stats\"") == 1 {
+    e = $0; sub(/.*"epochs":/, "", e); sub(/,.*/, "", e)
+    r = $0; sub(/.*"records":/, "", r); sub(/,.*/, "", r)
+    n++; if (r != e * slots) bad++
+} END { exit !(n >= 201 && bad == 0) }' reproduce_serve1.txt
+grep -q '"cmd":"metrics"' reproduce_serve1.txt
+grep -q '"service.measure": {' metrics_service.json
+grep -q '"service.apply": {' metrics_service.json
+grep -q '"service.checkpoint": {' metrics_service.json
+grep -q '"query.wait_ms": {' metrics_service.json
 rm -f smoke_service.snap
 
 echo "==> long-term campaign + columnar analysis bench (quick mode; writes BENCH_longterm.json)"

@@ -26,7 +26,10 @@
 //! Queries arrive as lines (stdin for `reproduce serve`, at most
 //! [`MAX_QUERY_LINE`] bytes each) and are answered as single
 //! `ok {json}` / `err reason` lines — see [`Service::answer`] for the
-//! command set.
+//! command set. [`serve`] answers them on their own thread while the
+//! daemon measures: an epoch is measured without the query lock and
+//! applied under it, and checkpoints never take it, so an answer waits at
+//! most for one epoch's apply, never for a measurement or a checkpoint.
 //!
 //! Knobs (registered in `s2s_probe::env::KNOWN_KNOBS`, resolved here
 //! because their defaults are service policy): `S2S_SERVICE_CADENCE_MS`
@@ -40,14 +43,18 @@ use s2s_core::congestion::{detect_profile, DetectParams};
 use s2s_core::{Analysis, IncrementalState};
 use s2s_probe::env::ResolvedKnob;
 use s2s_probe::fabric::FNV64_OFFSET;
+use s2s_probe::dataset::{read_capped_line, CappedLine};
 use s2s_probe::{
     snapshot, Campaign, CampaignConfig, CampaignReport, FaultProfile, PairProfile,
-    PairProfileSink, RetryPolicy, StreamSink, TraceStore,
+    PairProfileSink, RetryPolicy, StreamSink, TraceStore, TracerouteRecord,
 };
-use s2s_types::{ClusterId, ExitCode, Protocol};
+use s2s_types::{ClusterId, ExitCode, Protocol, SimDuration};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// The longest query line `serve` reads, in bytes; a longer line is
 /// answered `err query line too long` and skipped up to its newline.
@@ -145,24 +152,60 @@ impl ServiceConfig {
 /// epoch, [`Service::answer`] serves one query, [`Service::checkpoint`]
 /// flushes through the snapshot plane. The `reproduce serve` loop
 /// ([`serve`]) wires these to a stdin/stdout line protocol.
+///
+/// The state is split in two. The daemon's side — the campaign, the slot
+/// stores, the report and the checkpoint log — is only touched by the
+/// thread that measures. What a query reads — the profiles, the
+/// incremental analysis, the epoch count and the query count — sits behind
+/// one lock, which the daemon takes only while it applies a measured
+/// epoch, so [`serve`] answers queries on their own thread while the next
+/// epoch is measured or a checkpoint is written.
 pub struct Service<'a> {
+    daemon: Daemon<'a>,
+    queries: Queries,
+}
+
+/// The measuring side of a [`Service`]: nothing a query reads.
+struct Daemon<'a> {
     scenario: &'a Scenario,
-    cfg: ServiceConfig,
     camp_cfg: CampaignConfig,
     campaign: Campaign,
     pairs: Vec<(ClusterId, ClusterId)>,
-    slot_of: HashMap<(ClusterId, ClusterId, Protocol), usize>,
     sink: PairProfileSink,
     substores: Vec<TraceStore>,
-    profiles: Vec<PairProfile>,
-    analysis: Analysis<IncrementalState>,
     report: CampaignReport,
+    /// Epochs applied; the query side keeps its own copy under the lock.
     next_epoch: usize,
     resumed_from: Option<usize>,
-    queries_answered: usize,
     /// The checkpoint log this service appends to, once it has written or
     /// resumed one.
     log: Option<LogTail>,
+}
+
+/// The query side of a [`Service`]: the slot table, fixed at start, and
+/// the live state behind the query lock.
+struct Queries {
+    slot_of: HashMap<(ClusterId, ClusterId, Protocol), usize>,
+    interval: SimDuration,
+    budget: usize,
+    live: Mutex<Live>,
+}
+
+/// What queries read, changed only while an epoch is applied (and by the
+/// query count, which answers bump).
+struct Live {
+    profiles: Vec<PairProfile>,
+    analysis: Analysis<IncrementalState>,
+    epoch: usize,
+    queries: usize,
+}
+
+/// One measured epoch, not yet applied: its records in slot order, each
+/// with its slot, and its campaign report.
+struct Measured {
+    epoch: usize,
+    records: Vec<(usize, TracerouteRecord)>,
+    report: CampaignReport,
 }
 
 /// Where a service's checkpoint log ends: the file, the length of its
@@ -192,54 +235,61 @@ impl<'a> Service<'a> {
             }
         }
         let substores = (0..profiles.len()).map(|_| TraceStore::new()).collect();
-        Service {
+        let queries = Queries {
+            slot_of,
+            interval: camp_cfg.interval,
+            budget: cfg.query_budget,
+            live: Mutex::new(Live {
+                profiles,
+                analysis: Analysis::new(IncrementalState::new()),
+                epoch: 0,
+                queries: 0,
+            }),
+        };
+        let daemon = Daemon {
             scenario,
-            cfg,
             camp_cfg,
             campaign,
             pairs,
-            slot_of,
             sink,
             substores,
-            profiles,
-            analysis: Analysis::new(IncrementalState::new()),
             report: CampaignReport::default(),
             next_epoch: 0,
             resumed_from: None,
-            queries_answered: 0,
             log: None,
-        }
+        };
+        Service { daemon, queries }
     }
 
     /// Total epochs in the schedule.
     pub fn n_epochs(&self) -> usize {
-        self.camp_cfg.n_samples()
+        self.daemon.n_epochs()
     }
 
     /// The next epoch to measure (== epochs already folded).
     pub fn next_epoch(&self) -> usize {
-        self.next_epoch
+        self.daemon.next_epoch
     }
 
     /// The epoch this service resumed from, if it recovered a checkpoint.
     pub fn resumed_from(&self) -> Option<usize> {
-        self.resumed_from
+        self.daemon.resumed_from
     }
 
     /// The merged campaign report so far (per-epoch reports summed — equal
     /// to the batch report once the schedule completes).
     pub fn report(&self) -> &CampaignReport {
-        &self.report
+        &self.daemon.report
     }
 
     /// The live incremental analysis.
-    pub fn analysis(&self) -> &Analysis<IncrementalState> {
-        &self.analysis
+    pub fn analysis(&mut self) -> &Analysis<IncrementalState> {
+        &self.queries.live_mut().analysis
     }
 
     /// The live per-slot profiles (pair-major, protocol-minor).
-    pub fn profiles(&self) -> &[PairProfile] {
-        &self.profiles
+    pub fn profiles(&mut self) -> &[PairProfile] {
+        &self.queries.live_mut().profiles
     }
 
     /// Measures one epoch: every (pair, protocol) slot probes once, the
@@ -247,31 +297,13 @@ impl<'a> Service<'a> {
     /// folds into the incremental analysis. Returns `false` (and does
     /// nothing) once the schedule is complete.
     pub fn advance(&mut self) -> bool {
-        if self.next_epoch >= self.n_epochs() {
-            return false;
+        match self.daemon.measure() {
+            Some(m) => {
+                self.daemon.apply(&self.queries, m);
+                true
+            }
+            None => false,
         }
-        let epoch = self.next_epoch;
-        let opts_of = self.scenario.long_term_opts_of();
-        let mut delta = TraceStore::new();
-        let (substores, profiles, sink) =
-            (&mut self.substores, &mut self.profiles, &self.sink);
-        let r = self.campaign.run_traceroute_epoch(
-            &self.scenario.net,
-            &self.pairs,
-            opts_of,
-            epoch,
-            |slot, rec| {
-                substores[slot].push(&rec);
-                sink.fold(&mut profiles[slot], epoch as u64, rec.t, rec.e2e_rtt_ms);
-                delta.push(&rec);
-            },
-        );
-        self.analysis.update(&delta, &self.scenario.ip2asn);
-        self.report.merge(&r);
-        self.next_epoch += 1;
-        s2s_obs::inc("service.epochs");
-        s2s_obs::add("service.records", delta.len() as u64);
-        true
     }
 
     /// The dataset so far, merged in slot order — the exact record
@@ -279,7 +311,7 @@ impl<'a> Service<'a> {
     /// merged store holds after the same number of epochs.
     pub fn merged_store(&self) -> TraceStore {
         let mut merged = TraceStore::new();
-        for st in &self.substores {
+        for st in &self.daemon.substores {
             merged.absorb(st);
         }
         merged
@@ -292,7 +324,8 @@ impl<'a> Service<'a> {
     /// building the merge.
     pub fn digest(&self) -> u64 {
         s2s_obs::timed("dataset.digest", || {
-            self.substores
+            self.daemon
+                .substores
                 .iter()
                 .fold(FNV64_OFFSET, fabric::store_digest_fold)
         })
@@ -314,39 +347,12 @@ impl<'a> Service<'a> {
     /// merged store with sink lines `SERVICE|<n_epochs>`, the report and
     /// every profile line, as one snapshot written to a `.tmp` sibling and
     /// renamed into place — the file `snapshot::open_file` reopens.
+    ///
+    /// A checkpoint reads only the daemon's side (slot stores, report, log
+    /// tail); only the compaction takes the query lock, to copy the
+    /// profile lines.
     pub fn checkpoint(&mut self, path: &Path) -> io::Result<u64> {
-        let mut lines = vec![format!("SERVICE|{}", self.next_epoch), self.report.to_line()];
-        let appending = self.log.as_ref().filter(|l| l.path == path);
-        let complete = self.next_epoch == self.n_epochs();
-        let from = if complete { 0 } else { appending.map_or(0, |l| l.epoch) };
-        // Every slot store holds one row per epoch, so rows are epochs.
-        let parts: Vec<_> = self.substores.iter().map(|st| (st, from..self.next_epoch)).collect();
-        let (bytes, len) = match appending.map(|l| l.len).filter(|_| !complete) {
-            Some(at) => {
-                let bytes = snapshot::append_file(path, at, &parts, &lines)?;
-                s2s_obs::inc("service.checkpoint.appended");
-                (bytes, at + bytes)
-            }
-            None => {
-                if complete {
-                    lines.extend(self.profiles.iter().map(PairProfile::to_line));
-                }
-                let bytes = snapshot::write_file_parts(path, &parts, &lines)?;
-                s2s_obs::inc(if complete {
-                    "service.checkpoint.compacted"
-                } else {
-                    "service.checkpoint.appended"
-                });
-                (bytes, bytes)
-            }
-        };
-        self.log = Some(LogTail { path: path.to_path_buf(), len, epoch: self.next_epoch });
-        s2s_obs::inc("service.snapshots");
-        if let Some(reg) = s2s_obs::installed() {
-            reg.gauge("service.checkpoint_epoch").set(self.next_epoch as u64);
-            reg.gauge("service.checkpoint_bytes").set(bytes);
-        }
-        Ok(bytes)
+        self.daemon.checkpoint(&self.queries, path)
     }
 
     /// Reopens a checkpoint log and rebuilds the live state.
@@ -385,16 +391,17 @@ impl<'a> Service<'a> {
             };
             svc.apply_chunk(&chunk, end)?;
             chunks += 1;
-            svc.log = Some(LogTail { path: path.to_path_buf(), len: log.offset(), epoch: end });
+            svc.daemon.log =
+                Some(LogTail { path: path.to_path_buf(), len: log.offset(), epoch: end });
         }
         if chunks == 0 {
             let why = log.damage().unwrap_or("empty snapshot");
             return Err(bad(format!("checkpoint {} holds no valid chunk: {why}", path.display())));
         }
-        svc.resumed_from = Some(svc.next_epoch);
+        svc.daemon.resumed_from = Some(svc.daemon.next_epoch);
         s2s_obs::inc("service.resumes");
         if let Some(reg) = s2s_obs::installed() {
-            reg.gauge("service.resumed_epoch").set(svc.next_epoch as u64);
+            reg.gauge("service.resumed_epoch").set(svc.daemon.next_epoch as u64);
         }
         Ok(svc)
     }
@@ -403,6 +410,7 @@ impl<'a> Service<'a> {
     /// recovered; returns the epoch the chunk reaches. Only the first
     /// chunk may carry profile lines.
     fn validate_chunk(&self, chunk: &snapshot::Snapshot, first: bool) -> Result<usize, String> {
+        let (next_epoch, slots) = (self.daemon.next_epoch, self.daemon.substores.len());
         let state = chunk
             .sinks
             .first()
@@ -415,34 +423,32 @@ impl<'a> Service<'a> {
                 self.n_epochs()
             ));
         }
-        if end < self.next_epoch {
-            return Err(format!("chunk epoch {end} precedes epoch {}", self.next_epoch));
+        if end < next_epoch {
+            return Err(format!("chunk epoch {end} precedes epoch {next_epoch}"));
         }
         let report_line = chunk.sinks.get(1).ok_or("checkpoint has no report line")?;
         CampaignReport::from_line(report_line)?;
         let profile_lines = chunk.sinks.len() - 2;
-        if profile_lines != 0 && !(first && profile_lines == self.profiles.len()) {
+        if profile_lines != 0 && !(first && profile_lines == slots) {
             return Err(format!(
-                "checkpoint has {profile_lines} profile line(s), schedule needs {}",
-                self.profiles.len()
+                "checkpoint has {profile_lines} profile line(s), schedule needs {slots}"
             ));
         }
         // Every slot folds exactly one record per epoch (lost slots fold a
         // synthetic row), so a chunk's size is pinned slot by slot.
-        let per_slot = end - self.next_epoch;
-        let expect = per_slot * self.substores.len();
+        let per_slot = end - next_epoch;
+        let expect = per_slot * slots;
         if chunk.store.len() != expect {
             return Err(format!(
-                "checkpoint holds {} record(s), epochs {}..{end} × {} slot(s) needs {expect}",
+                "checkpoint holds {} record(s), epochs {next_epoch}..{end} × {slots} slot(s) \
+                 needs {expect}",
                 chunk.store.len(),
-                self.next_epoch,
-                self.substores.len()
             ));
         }
-        let mut counts = vec![0usize; self.substores.len()];
+        let mut counts = vec![0usize; slots];
         for v in chunk.store.iter() {
             let (src, dst, proto) = (v.src(), v.dst(), v.proto());
-            let slot = *self.slot_of.get(&(src, dst, proto)).ok_or_else(|| {
+            let slot = *self.queries.slot_of.get(&(src, dst, proto)).ok_or_else(|| {
                 format!("checkpoint record for unknown slot ({src}, {dst}, {proto:?})")
             })?;
             counts[slot] += 1;
@@ -456,18 +462,21 @@ impl<'a> Service<'a> {
     /// Folds one validated chunk into the live state and moves to its
     /// epoch `end`.
     fn apply_chunk(&mut self, chunk: &snapshot::Snapshot, end: usize) -> io::Result<()> {
+        let (daemon, queries) = (&mut self.daemon, &mut self.queries);
+        let live = queries.live.get_mut().unwrap_or_else(PoisonError::into_inner);
         for v in chunk.store.iter() {
-            let slot = self.slot_of[&(v.src(), v.dst(), v.proto())];
-            let epoch = self.substores[slot].len() as u64;
-            self.sink.fold(&mut self.profiles[slot], epoch, v.t(), v.e2e_rtt_ms());
-            self.substores[slot].push(&v.to_record());
+            let slot = queries.slot_of[&(v.src(), v.dst(), v.proto())];
+            let epoch = daemon.substores[slot].len() as u64;
+            daemon.sink.fold(&mut live.profiles[slot], epoch, v.t(), v.e2e_rtt_ms());
+            daemon.substores[slot].push(&v.to_record());
         }
-        self.analysis.update(&chunk.store, &self.scenario.ip2asn);
-        self.report = CampaignReport::from_line(&chunk.sinks[1])
+        live.analysis.update(&chunk.store, &daemon.scenario.ip2asn);
+        daemon.report = CampaignReport::from_line(&chunk.sinks[1])
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.next_epoch = end;
+        daemon.next_epoch = end;
+        live.epoch = end;
         for (slot, line) in chunk.sinks[2..].iter().enumerate() {
-            if *line != self.profiles[slot].to_line() {
+            if *line != live.profiles[slot].to_line() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("checkpoint profile {slot} disagrees with its refolded records"),
@@ -487,32 +496,155 @@ impl<'a> Service<'a> {
     /// | `changes <src> <dst> <v4\|v6>` | folded path-change count, magnitudes, prevalence, popular path |
     /// | `advice <src> <dst>` | v4-vs-v6 preference from the two slots' median RTTs |
     /// | `stats` | epochs folded, records, groups, queries served |
+    /// | `metrics` | the installed registry's counters, gauges and spans (`err no registry` without one) |
     ///
-    /// All answers read O(pair state) — nothing rescans the corpus. After
-    /// `query_budget` answers, every further query gets `err budget
-    /// exhausted` (and [`serve`] exits [`ExitCode::Query`]).
-    pub fn answer(&mut self, line: &str) -> String {
-        if self.queries_answered >= self.cfg.query_budget {
-            s2s_obs::inc("query.rejected");
-            return "err budget exhausted".to_string();
-        }
-        self.queries_answered += 1;
-        let out = s2s_obs::timed("query.answer", || self.answer_inner(line));
-        s2s_obs::inc(if out.starts_with("ok") { "query.served" } else { "query.errors" });
-        out
+    /// All answers read O(pair state) — nothing rescans the corpus — and
+    /// reflect the last epoch applied whole. After `query_budget` answers,
+    /// every further query gets `err budget exhausted` (and [`serve`]
+    /// exits [`ExitCode::Query`]).
+    pub fn answer(&self, line: &str) -> String {
+        self.queries.answer(line)
     }
 
     /// Queries answered so far.
     pub fn queries_answered(&self) -> usize {
-        self.queries_answered
+        self.queries.lock().queries
     }
 
     /// Whether the query budget is spent.
     pub fn budget_exhausted(&self) -> bool {
-        self.queries_answered >= self.cfg.query_budget
+        self.queries_answered() >= self.queries.budget
+    }
+}
+
+impl Daemon<'_> {
+    fn n_epochs(&self) -> usize {
+        self.camp_cfg.n_samples()
     }
 
-    fn answer_inner(&self, line: &str) -> String {
+    /// The measure phase: runs the next epoch's slots and keeps their
+    /// records, touching no state a query reads. `None` once the schedule
+    /// is complete.
+    fn measure(&self) -> Option<Measured> {
+        let epoch = self.next_epoch;
+        if epoch >= self.n_epochs() {
+            return None;
+        }
+        s2s_obs::timed("service.measure", || {
+            let mut records = Vec::with_capacity(self.substores.len());
+            let report = self.campaign.run_traceroute_epoch(
+                &self.scenario.net,
+                &self.pairs,
+                self.scenario.long_term_opts_of(),
+                epoch,
+                |slot, rec| records.push((slot, rec)),
+            );
+            Some(Measured { epoch, records, report })
+        })
+    }
+
+    /// The apply phase: appends the epoch's records to the slot stores and
+    /// builds its delta, then — under the query lock — folds the profiles,
+    /// updates the incremental analysis and moves the epoch on, so a query
+    /// sees the epoch whole or not at all.
+    fn apply(&mut self, queries: &Queries, m: Measured) {
+        debug_assert_eq!(m.epoch, self.next_epoch, "epochs apply in order");
+        let mut delta = TraceStore::new();
+        for (slot, rec) in &m.records {
+            self.substores[*slot].push(rec);
+            delta.push(rec);
+        }
+        self.report.merge(&m.report);
+        let mut live = queries.lock();
+        s2s_obs::timed("service.apply", || {
+            for (slot, rec) in &m.records {
+                self.sink.fold(&mut live.profiles[*slot], m.epoch as u64, rec.t, rec.e2e_rtt_ms);
+            }
+            live.analysis.update(&delta, &self.scenario.ip2asn);
+            live.epoch = m.epoch + 1;
+        });
+        drop(live);
+        self.next_epoch = m.epoch + 1;
+        s2s_obs::inc("service.epochs");
+        s2s_obs::add("service.records", delta.len() as u64);
+    }
+
+    /// [`Service::checkpoint`].
+    fn checkpoint(&mut self, queries: &Queries, path: &Path) -> io::Result<u64> {
+        s2s_obs::timed("service.checkpoint", || self.checkpoint_inner(queries, path))
+    }
+
+    fn checkpoint_inner(&mut self, queries: &Queries, path: &Path) -> io::Result<u64> {
+        let mut lines = vec![format!("SERVICE|{}", self.next_epoch), self.report.to_line()];
+        let appending = self.log.as_ref().filter(|l| l.path == path);
+        let complete = self.next_epoch == self.n_epochs();
+        let from = if complete { 0 } else { appending.map_or(0, |l| l.epoch) };
+        // Every slot store holds one row per epoch, so rows are epochs.
+        let parts: Vec<_> = self.substores.iter().map(|st| (st, from..self.next_epoch)).collect();
+        let (bytes, len) = match appending.map(|l| l.len).filter(|_| !complete) {
+            Some(at) => {
+                let bytes = snapshot::append_file(path, at, &parts, &lines)?;
+                s2s_obs::inc("service.checkpoint.appended");
+                (bytes, at + bytes)
+            }
+            None => {
+                if complete {
+                    lines.extend(queries.lock().profiles.iter().map(PairProfile::to_line));
+                }
+                let bytes = snapshot::write_file_parts(path, &parts, &lines)?;
+                s2s_obs::inc(if complete {
+                    "service.checkpoint.compacted"
+                } else {
+                    "service.checkpoint.appended"
+                });
+                (bytes, bytes)
+            }
+        };
+        self.log = Some(LogTail { path: path.to_path_buf(), len, epoch: self.next_epoch });
+        s2s_obs::inc("service.snapshots");
+        if let Some(reg) = s2s_obs::installed() {
+            reg.gauge("service.checkpoint_epoch").set(self.next_epoch as u64);
+            reg.gauge("service.checkpoint_bytes").set(bytes);
+        }
+        Ok(bytes)
+    }
+}
+
+impl Queries {
+    /// The query lock. A panic while it was held (only an apply can
+    /// panic under it) ends the daemon, so a poisoned lock still answers.
+    fn lock(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The live state, without locking: exclusive access needs none.
+    fn live_mut(&mut self) -> &mut Live {
+        self.live.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`Service::answer`]: counts the query against the budget and
+    /// answers it, holding the query lock only while it reads live state.
+    fn answer(&self, line: &str) -> String {
+        let mut live = self.lock();
+        if live.queries >= self.budget {
+            drop(live);
+            s2s_obs::inc("query.rejected");
+            return "err budget exhausted".to_string();
+        }
+        live.queries += 1;
+        let out = s2s_obs::timed("query.answer", || {
+            if line.trim() == "metrics" {
+                drop(live);
+                metrics_answer(s2s_obs::installed().as_deref())
+            } else {
+                self.answer_inner(&live, line)
+            }
+        });
+        s2s_obs::inc(if out.starts_with("ok") { "query.served" } else { "query.errors" });
+        out
+    }
+
+    fn answer_inner(&self, live: &Live, line: &str) -> String {
         let mut it = line.split_whitespace();
         let cmd = match it.next() {
             Some(c) => c,
@@ -520,21 +652,21 @@ impl<'a> Service<'a> {
         };
         let args: Vec<&str> = it.collect();
         match (cmd, args.as_slice()) {
-            ("pair", [s, d, p]) => self.pair_query(s, d, p),
-            ("diurnal", [s, d, p]) => self.diurnal_query(s, d, p),
-            ("changes", [s, d, p]) => self.changes_query(s, d, p),
-            ("advice", [s, d]) => self.advice_query(s, d),
+            ("pair", [s, d, p]) => self.pair_query(live, s, d, p),
+            ("diurnal", [s, d, p]) => self.diurnal_query(live, s, d, p),
+            ("changes", [s, d, p]) => self.changes_query(live, s, d, p),
+            ("advice", [s, d]) => self.advice_query(live, s, d),
             ("stats", []) => format!(
                 "ok {{\"cmd\":\"stats\",\"epochs\":{},\"records\":{},\"groups\":{},\
                  \"queries\":{}}}",
-                self.next_epoch,
-                self.analysis.source().samples(),
-                self.analysis.source().len(),
-                self.queries_answered
+                live.epoch,
+                live.analysis.source().samples(),
+                live.analysis.source().len(),
+                live.queries
             ),
             _ => format!(
                 "err unknown query '{line}' (known: pair, diurnal, changes, advice, \
-                 stats, quit)"
+                 stats, metrics, quit)"
             ),
         }
     }
@@ -559,12 +691,12 @@ impl<'a> Service<'a> {
             .ok_or_else(|| format!("err pair ({s}, {d}, {p}) is not in the mesh"))
     }
 
-    fn pair_query(&self, s: &str, d: &str, p: &str) -> String {
+    fn pair_query(&self, live: &Live, s: &str, d: &str, p: &str) -> String {
         let slot = match self.slot(s, d, p) {
             Ok(i) => i,
             Err(e) => return e,
         };
-        let pr = &self.profiles[slot];
+        let pr = &live.profiles[slot];
         format!(
             "ok {{\"cmd\":\"pair\",\"src\":{s},\"dst\":{d},\"proto\":\"{p}\",\
              \"offered\":{},\"valid\":{},\"coverage\":{},\"p5\":{},\"p50\":{},\
@@ -580,12 +712,12 @@ impl<'a> Service<'a> {
         )
     }
 
-    fn diurnal_query(&self, s: &str, d: &str, p: &str) -> String {
+    fn diurnal_query(&self, live: &Live, s: &str, d: &str, p: &str) -> String {
         let slot = match self.slot(s, d, p) {
             Ok(i) => i,
             Err(e) => return e,
         };
-        let pr = &self.profiles[slot];
+        let pr = &live.profiles[slot];
         // The paper's 600-of-672 floor assumes a finished one-week window;
         // a live service answers as soon as one day of samples folded.
         let params =
@@ -608,7 +740,7 @@ impl<'a> Service<'a> {
         }
     }
 
-    fn changes_query(&self, s: &str, d: &str, p: &str) -> String {
+    fn changes_query(&self, live: &Live, s: &str, d: &str, p: &str) -> String {
         // Reuses slot() for arg validation; the group index comes from the
         // analysis (first-seen order), not the slot table.
         if let Err(e) = self.slot(s, d, p) {
@@ -617,14 +749,14 @@ impl<'a> Service<'a> {
         let (src, dst) =
             (ClusterId::new(s.parse().unwrap()), ClusterId::new(d.parse().unwrap()));
         let proto = if p == "v4" { Protocol::V4 } else { Protocol::V6 };
-        let state = self.analysis.source();
+        let state = live.analysis.source();
         let Some(gi) = state.group_index(src, dst, proto) else {
             return "ok {\"cmd\":\"changes\",\"changes\":0,\"magnitudes\":[],\
                     \"paths\":0,\"popular\":null}"
                 .to_string();
         };
         let cs = state.change_stats_of(gi);
-        let ps = state.path_stats_of(gi, self.camp_cfg.interval);
+        let ps = state.path_stats_of(gi, self.interval);
         format!(
             "ok {{\"cmd\":\"changes\",\"changes\":{},\"magnitudes\":{:?},\
              \"paths\":{},\"popular\":{},\"prevalence\":{}}}",
@@ -636,13 +768,13 @@ impl<'a> Service<'a> {
         )
     }
 
-    fn advice_query(&self, s: &str, d: &str) -> String {
+    fn advice_query(&self, live: &Live, s: &str, d: &str) -> String {
         let (v4, v6) = match (self.slot(s, d, "v4"), self.slot(s, d, "v6")) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => return e,
         };
-        let p4 = self.profiles[v4].quantile(0.50);
-        let p6 = self.profiles[v6].quantile(0.50);
+        let p4 = live.profiles[v4].quantile(0.50);
+        let p6 = live.profiles[v6].quantile(0.50);
         let prefer = match (p4, p6) {
             (Some(a), Some(b)) if a <= b => "\"v4\"",
             (Some(_), Some(_)) => "\"v6\"",
@@ -655,6 +787,18 @@ impl<'a> Service<'a> {
             json_f64(p4),
             json_f64(p6)
         )
+    }
+}
+
+/// The `metrics` answer: `registry`'s counters, gauges and spans on one
+/// line, keys sorted, or `err no registry`.
+fn metrics_answer(registry: Option<&s2s_obs::Registry>) -> String {
+    match registry {
+        Some(reg) => {
+            let json = reg.snapshot().to_json_line();
+            format!("ok {{\"cmd\":\"metrics\",{}", &json[1..])
+        }
+        None => "err no registry".to_string(),
     }
 }
 
@@ -681,16 +825,32 @@ pub struct ServeOutcome {
     pub resumed_from: Option<usize>,
 }
 
-/// The `reproduce serve` daemon loop: advances epochs continuously,
-/// answering any queries that arrived between epochs, checkpointing every
-/// `snap_every` epochs; once the schedule completes it keeps serving
-/// queries until `input` closes or a `quit` line arrives. Shutdown —
-/// `quit`, EOF, or schedule end with a closed input — always flushes a
-/// final snapshot (when a path is configured) and prints the dataset
-/// digest line, byte-comparable against a batch run. An input line longer
-/// than [`MAX_QUERY_LINE`] bytes is answered `err query line too long`
-/// (counted under `query.rejected`, not against the query budget) and
-/// skipped up to its newline; the reader never holds more than that.
+/// The `reproduce serve` daemon: advances epochs continuously,
+/// checkpointing every `snap_every` epochs, while queries are answered on
+/// their own thread as they arrive; once the schedule completes it keeps
+/// serving queries until `input` closes or a `quit` line arrives.
+///
+/// Three threads share the work. A detached reader forwards `input`'s
+/// lines, at most [`MAX_QUERY_LINE`] bytes each, to a scoped answerer,
+/// which writes each answer to `output` in query order; the daemon (the
+/// calling thread) measures each epoch without the query lock, applies it
+/// under the lock, and writes checkpoints beside it. An answer reflects
+/// the last epoch applied whole, even while the next one is measured.
+///
+/// `quit` stops the schedule at the next epoch boundary: the epoch in
+/// flight is applied whole, later lines go unanswered. EOF only ends the
+/// answering — a capped `serve --epochs N < batch.txt` still measures
+/// exactly N epochs, so its digest is deterministic. Shutdown — `quit`,
+/// EOF, or schedule end with a closed input — always flushes a final
+/// snapshot (when a path is configured) and prints the dataset digest
+/// line, byte-comparable against a batch run. A daemon error (a failed
+/// checkpoint write) stops the answerer and returns at once, however long
+/// the input stays open. An input line longer than [`MAX_QUERY_LINE`]
+/// bytes is answered `err query line too long` (counted under
+/// `query.rejected`, not against the query budget) and skipped up to its
+/// newline; the reader never holds more than that. Each answer's wait, from
+/// its line being read to the answer being written, is booked in the
+/// `query.wait_ms` histogram.
 ///
 /// `epochs` caps how many epochs to advance (`None` = the full schedule);
 /// the cap makes scripted smoke runs and kill/resume drills cheap.
@@ -699,7 +859,7 @@ pub fn serve(
     cfg: ServiceConfig,
     epochs: Option<usize>,
     input: impl BufRead + Send + 'static,
-    output: &mut impl Write,
+    output: &mut (impl Write + Send),
 ) -> io::Result<ServeOutcome> {
     let resume_path =
         cfg.snapshot_path.clone().filter(|p| p.exists());
@@ -715,7 +875,7 @@ pub fn serve(
                 svc.n_epochs(),
                 svc.n_epochs() - svc.next_epoch()
             )?;
-            let valid = svc.log.as_ref().map_or(0, |l| l.len);
+            let valid = svc.daemon.log.as_ref().map_or(0, |l| l.len);
             let cut = std::fs::metadata(p)?.len().saturating_sub(valid);
             if cut > 0 {
                 writeln!(
@@ -736,63 +896,51 @@ pub fn serve(
         output,
         "service: {} slot(s) per epoch, schedule {}..{} of {} epoch(s), \
          checkpoint every {}",
-        svc.profiles().len(),
+        svc.daemon.substores.len(),
         start_epoch,
         target,
         svc.n_epochs(),
         cfg.snap_every
     )?;
 
-    // The input pump: a reader thread forwards lines over a channel so
-    // epoch advancement never blocks on a quiet stdin.
-    let (tx, rx) = std::sync::mpsc::channel::<QueryLine>();
+    // The reader forwards lines so neither the daemon nor the answerer
+    // blocks on a quiet input; it is detached because a blocking read of
+    // stdin cannot be interrupted.
+    let (tx, rx) = mpsc::channel::<Inbox>();
+    let reader_tx = tx.clone();
     let mut input = input;
     std::thread::spawn(move || {
         let mut buf = Vec::with_capacity(MAX_QUERY_LINE);
         while let Ok(Some(line)) = read_query_line(&mut input, &mut buf) {
-            if tx.send(line).is_err() {
-                break;
+            if reader_tx.send(Inbox::Line(Instant::now(), line)).is_err() {
+                return;
             }
         }
+        let _ = reader_tx.send(Inbox::End);
     });
 
-    // `quit` stops the schedule immediately; EOF only closes the query
-    // channel — a scripted `serve --epochs N < batch.txt` still measures
-    // exactly N epochs, so its digest is deterministic.
-    let mut shutdown = false;
-    let mut input_open = true;
-    while svc.next_epoch() < target && !shutdown {
-        // Serve everything queued between epochs.
-        while input_open && !shutdown {
-            match rx.try_recv() {
-                Ok(line) => shutdown = respond(&mut svc, line, output)?,
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    input_open = false;
+    let stop = AtomicBool::new(false);
+    let Service { daemon, queries } = &mut svc;
+    let queries = &*queries;
+    std::thread::scope(|s| -> io::Result<()> {
+        let answerer = s.spawn(|| answer_lines(queries, rx, output, &stop));
+        // Wakes the answerer if the daemon returns early (or panics), so
+        // the scope never waits on the input.
+        let _end = EndOnDrop(tx);
+        while daemon.next_epoch < target && !stop.load(Ordering::SeqCst) {
+            let Some(m) = daemon.measure() else { break };
+            daemon.apply(queries, m);
+            if let Some(path) = &cfg.snapshot_path {
+                if daemon.next_epoch % cfg.snap_every == 0 && daemon.next_epoch < target {
+                    daemon.checkpoint(queries, path)?;
                 }
             }
-        }
-        if shutdown {
-            break;
-        }
-        svc.advance();
-        if let Some(path) = &cfg.snapshot_path {
-            if svc.next_epoch() % cfg.snap_every == 0 && svc.next_epoch() < target {
-                svc.checkpoint(path)?;
+            if cfg.cadence_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(cfg.cadence_ms));
             }
         }
-        if cfg.cadence_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(cfg.cadence_ms));
-        }
-    }
-    // Schedule done (or quitting): drain remaining queries until EOF/quit.
-    if !shutdown {
-        for line in rx.iter() {
-            if respond(&mut svc, line, output)? {
-                break;
-            }
-        }
-    }
+        answerer.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })?;
     // Graceful shutdown: final flush, then the digest line a batch run
     // would print — byte-comparable proof the daemon measured the same
     // dataset.
@@ -817,6 +965,58 @@ pub fn serve(
     })
 }
 
+/// What the answerer receives: an input line with the instant it was
+/// read, or the end of answering (input EOF, or the daemon returning).
+enum Inbox {
+    Line(Instant, QueryLine),
+    End,
+}
+
+/// Sends [`Inbox::End`] when dropped.
+struct EndOnDrop(mpsc::Sender<Inbox>);
+
+impl Drop for EndOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.send(Inbox::End);
+    }
+}
+
+/// The answerer: answers each line in arrival order until the input ends,
+/// the daemon stops it, or a `quit` line — which, like a failed write,
+/// raises `stop` so the daemon ends at its next epoch boundary.
+fn answer_lines(
+    queries: &Queries,
+    rx: mpsc::Receiver<Inbox>,
+    output: &mut impl Write,
+    stop: &AtomicBool,
+) -> io::Result<()> {
+    let wait = s2s_obs::installed()
+        .map(|reg| reg.histogram("query.wait_ms", s2s_obs::DEFAULT_LATENCY_BOUNDS_MS));
+    for msg in rx.iter() {
+        let Inbox::Line(read_at, line) = msg else { break };
+        let answer = match line {
+            QueryLine::TooLong => {
+                s2s_obs::inc("query.rejected");
+                "err query line too long".to_string()
+            }
+            QueryLine::Text(l) if l.trim() == "quit" => {
+                stop.store(true, Ordering::SeqCst);
+                break;
+            }
+            QueryLine::Text(l) if l.trim().is_empty() => continue,
+            QueryLine::Text(l) => queries.answer(&l),
+        };
+        if let Err(e) = writeln!(output, "{answer}") {
+            stop.store(true, Ordering::SeqCst);
+            return Err(e);
+        }
+        if let Some(h) = &wait {
+            h.observe(read_at.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Ok(())
+}
+
 /// One line of `serve` input.
 #[derive(Debug, PartialEq, Eq)]
 enum QueryLine {
@@ -827,60 +1027,18 @@ enum QueryLine {
     TooLong,
 }
 
-/// Reads one input line of at most [`MAX_QUERY_LINE`] bytes through
-/// `buf`, which never grows past that: a longer line is consumed up to and
-/// including its newline (or EOF) and comes back as
-/// [`QueryLine::TooLong`]. Invalid UTF-8 is replaced, not fatal. `None` at
-/// EOF.
+/// Reads one input line through [`read_capped_line`] at
+/// [`MAX_QUERY_LINE`]: `buf` never grows past the cap, and a longer line
+/// comes back as [`QueryLine::TooLong`]. Invalid UTF-8 is replaced, not
+/// fatal. `None` at EOF.
 fn read_query_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<QueryLine>> {
-    buf.clear();
-    let (mut seen, mut too_long) = (false, false);
-    loop {
-        let avail = match input.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if avail.is_empty() {
-            break;
+    Ok(read_capped_line(input, buf, MAX_QUERY_LINE)?.map(|read| match read {
+        CappedLine::TooLong => QueryLine::TooLong,
+        CappedLine::Line => {
+            let text = String::from_utf8_lossy(buf);
+            QueryLine::Text(text.trim_end_matches('\r').to_string())
         }
-        seen = true;
-        let newline = avail.iter().position(|&b| b == b'\n');
-        let part = &avail[..newline.unwrap_or(avail.len())];
-        if buf.len() + part.len() > MAX_QUERY_LINE {
-            too_long = true;
-            buf.clear();
-        } else if !too_long {
-            buf.extend_from_slice(part);
-        }
-        let used = part.len() + usize::from(newline.is_some());
-        input.consume(used);
-        if newline.is_some() {
-            break;
-        }
-    }
-    if !seen {
-        return Ok(None);
-    }
-    if too_long {
-        return Ok(Some(QueryLine::TooLong));
-    }
-    let text = String::from_utf8_lossy(buf);
-    Ok(Some(QueryLine::Text(text.trim_end_matches('\r').to_string())))
-}
-
-/// Answers one input line on `output`; returns whether it was `quit`.
-fn respond(svc: &mut Service<'_>, line: QueryLine, output: &mut impl Write) -> io::Result<bool> {
-    match line {
-        QueryLine::TooLong => {
-            s2s_obs::inc("query.rejected");
-            writeln!(output, "err query line too long")?;
-        }
-        QueryLine::Text(l) if l.trim() == "quit" => return Ok(true),
-        QueryLine::Text(l) if l.trim().is_empty() => {}
-        QueryLine::Text(l) => writeln!(output, "{}", svc.answer(&l))?,
-    }
-    Ok(false)
+    }))
 }
 
 /// A batch baseline over the same mesh: the merged store, its digest, and
@@ -1064,7 +1222,7 @@ mod tests {
     }
 
     /// Digest, profile lines, report and timelines all byte-equal.
-    fn assert_same_state(got: &Service<'_>, want: &Service<'_>, case: &str) {
+    fn assert_same_state(got: &mut Service<'_>, want: &mut Service<'_>, case: &str) {
         assert_eq!(got.digest(), want.digest(), "{case}: digest diverged");
         assert_eq!(
             profile_lines(got.profiles()),
@@ -1119,7 +1277,7 @@ mod tests {
                 assert_eq!(svc.resumed_from(), Some(resumes_at), "killed at {kill}");
             }
             drive(&mut svc, &path, usize::MAX, 3);
-            assert_same_state(&svc, &reference, profile_tag(&profile));
+            assert_same_state(&mut svc, &mut reference, profile_tag(&profile));
             // The last checkpoint compacted the log into one snapshot.
             let snap = snapshot::open_file(&path).unwrap();
             assert_eq!(store_digest(&snap.store), reference.digest());
@@ -1163,7 +1321,7 @@ mod tests {
                     let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
                     assert_eq!(svc.resumed_from(), Some(12), "{case}");
                     while svc.advance() {}
-                    assert_same_state(&svc, &reference, &case);
+                    assert_same_state(&mut svc, &mut reference, &case);
                 }
             }
             let _ = std::fs::remove_file(&path);
@@ -1196,7 +1354,7 @@ mod tests {
             let mut svc = Service::resume(&scenario, cfg(), &path).unwrap();
             assert_eq!(svc.resumed_from(), Some(9));
             while svc.advance() {}
-            assert_same_state(&svc, &reference, profile_tag(&profile));
+            assert_same_state(&mut svc, &mut reference, profile_tag(&profile));
             // Profile lines that disagree with the records are an error.
             let mut wrong = lines.clone();
             wrong.swap(2, 3);
@@ -1391,6 +1549,245 @@ mod tests {
         let outcome3 = serve(&scenario, cfg, None, &b"quit\n"[..], &mut out3).unwrap();
         assert_eq!(outcome3.epochs_run, 0, "quit stops before the next epoch");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `serve`'s input fed over a channel, one line per message; EOF once
+    /// every sender is dropped.
+    struct ChannelReader {
+        rx: mpsc::Receiver<String>,
+        buf: Vec<u8>,
+        pos: usize,
+    }
+
+    impl io::Read for ChannelReader {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let avail = self.fill_buf()?;
+            let n = avail.len().min(out.len());
+            out[..n].copy_from_slice(&avail[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for ChannelReader {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.pos >= self.buf.len() {
+                let Ok(line) = self.rx.recv() else { return Ok(&[]) };
+                self.buf = line.into_bytes();
+                self.buf.push(b'\n');
+                self.pos = 0;
+            }
+            Ok(&self.buf[self.pos..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    fn channel_reader() -> (mpsc::Sender<String>, ChannelReader) {
+        let (tx, rx) = mpsc::channel();
+        (tx, ChannelReader { rx, buf: Vec::new(), pos: 0 })
+    }
+
+    /// Input that sends `lines` one every `gap`, then closes.
+    fn paced(lines: Vec<String>, gap: std::time::Duration) -> ChannelReader {
+        let (tx, reader) = channel_reader();
+        std::thread::spawn(move || {
+            for l in lines {
+                std::thread::sleep(gap);
+                if tx.send(l).is_err() {
+                    return;
+                }
+            }
+        });
+        reader
+    }
+
+    /// The `ok`/`err` answer lines of a `serve` transcript.
+    fn answers(out: &[u8]) -> Vec<String> {
+        String::from_utf8_lossy(out)
+            .lines()
+            .filter(|l| l.starts_with("ok ") || l.starts_with("err "))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// The integer after `"key":` in a JSON answer line.
+    fn field(line: &str, key: &str) -> usize {
+        let at = line.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("{key} in {line}"));
+        let rest = &line[at + key.len() + 3..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())]
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} in {line}"))
+    }
+
+    /// Every `stats` answer shows whole epochs (`records == epochs ×
+    /// slots`) and the epochs never go back; returns the epochs seen.
+    fn assert_whole_epochs(answers: &[String], slots: usize) -> Vec<usize> {
+        let stats: Vec<&String> =
+            answers.iter().filter(|a| a.starts_with("ok {\"cmd\":\"stats\"")).collect();
+        let epochs: Vec<usize> = stats.iter().map(|a| field(a, "epochs")).collect();
+        for (a, &e) in stats.iter().zip(&epochs) {
+            assert_eq!(field(a, "records"), e * slots, "half-applied epoch: {a}");
+        }
+        assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "epochs went back: {epochs:?}");
+        epochs
+    }
+
+    #[test]
+    fn concurrent_answers_see_whole_epochs_in_query_order() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let tag = profile_tag(&profile);
+            let path = tmp(&format!("service-concurrent-{tag}.snap"));
+            let (_, batch_digest, _, _) =
+                batch_baseline(&scenario, &profile, &RetryPolicy::default());
+            let (s, d) = fabric::longterm_pairs(&scenario)[1];
+            let queries: Vec<String> = (0..240)
+                .map(|k| match k % 3 {
+                    0 => "stats".to_string(),
+                    1 => format!("bogus {k}"),
+                    _ => format!("pair {} {} v6", s.index(), d.index()),
+                })
+                .collect();
+            let mut cfg = cfg_with(profile, Some(path.clone()));
+            cfg.cadence_ms = 2;
+            cfg.query_budget = 1000;
+            let input = paced(queries.clone(), std::time::Duration::from_micros(200));
+            let mut out = Vec::new();
+            let outcome = serve(&scenario, cfg, None, input, &mut out).unwrap();
+            let n = Service::new(&scenario, cfg_with(profile, None)).n_epochs();
+            assert_eq!(outcome.epochs_run, n, "{tag}");
+            assert_eq!(outcome.digest, batch_digest, "{tag}: digest diverged");
+            let answers = answers(&out);
+            assert_eq!(answers.len(), queries.len(), "{tag}: one answer per query");
+            for (k, (q, a)) in queries.iter().zip(&answers).enumerate() {
+                let matches = match k % 3 {
+                    0 => a.starts_with("ok {\"cmd\":\"stats\"") && field(a, "queries") == k + 1,
+                    1 => a.starts_with(&format!("err unknown query '{q}'")),
+                    _ => a.starts_with("ok {\"cmd\":\"pair\""),
+                };
+                assert!(matches, "{tag}: answer {k} to '{q}' out of order: {a}");
+            }
+            let epochs = assert_whole_epochs(&answers, 2 * fabric::longterm_pairs(&scenario).len());
+            assert!(
+                epochs.iter().any(|&e| 0 < e && e < n),
+                "{tag}: no answer while the schedule ran: {epochs:?}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn quit_mid_schedule_stops_at_an_epoch_boundary() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let tag = profile_tag(&profile);
+            let path = tmp(&format!("service-quit-{tag}.snap"));
+            let (_, batch_digest, _, _) =
+                batch_baseline(&scenario, &profile, &RetryPolicy::default());
+            let mut cfg = cfg_with(profile, Some(path.clone()));
+            cfg.cadence_ms = 3;
+            let mut lines = vec!["stats".to_string(); 10];
+            lines.push("quit".into());
+            lines.extend(["stats".to_string(), "stats".to_string()]);
+            let input = paced(lines, std::time::Duration::from_millis(1));
+            let mut out = Vec::new();
+            let outcome = serve(&scenario, cfg.clone(), None, input, &mut out).unwrap();
+            let n = Service::new(&scenario, cfg_with(profile, None)).n_epochs();
+            let run = outcome.epochs_run;
+            assert!(run < n, "{tag}: quit must stop the schedule early ({run} of {n})");
+            let answers = answers(&out);
+            assert_eq!(answers.len(), 10, "{tag}: lines after quit go unanswered");
+            assert_whole_epochs(&answers, 2 * fabric::longterm_pairs(&scenario).len());
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.contains("service: final snapshot"), "{tag}: {text}");
+            assert!(text.contains("long-term dataset digest:"), "{tag}: {text}");
+            // The final checkpoint holds every applied epoch whole, and a
+            // resumed run completes to the batch digest.
+            assert_eq!(log_epochs(&path).0.last(), Some(&run), "{tag}");
+            let mut out = Vec::new();
+            let resumed = serve(&scenario, cfg, None, &b""[..], &mut out).unwrap();
+            assert_eq!(resumed.resumed_from, Some(run), "{tag}");
+            assert_eq!(resumed.digest, batch_digest, "{tag}: resumed digest diverged");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn checkpoint_error_returns_while_the_input_stays_open() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let dir = tmp(&format!("service-no-such-dir-{}", profile_tag(&profile)));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = cfg_with(profile, Some(dir.join("service.snap")));
+            let (tx, input) = channel_reader();
+            tx.send("stats".into()).unwrap();
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::scope(|s| {
+                let scenario = &scenario;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    let _ = done_tx.send(serve(scenario, cfg, None, input, &mut out));
+                });
+                let res = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+                // The input stays open until serve has returned (or the
+                // wait gave up), then closes so the scope can end.
+                drop(tx);
+                let res = res.expect("serve must return while its input is open");
+                let err = res.map(|_| ()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+            });
+        }
+    }
+
+    #[test]
+    fn serve_keeps_the_query_budget() {
+        for profile in [FaultProfile::default(), noisy()] {
+            let scenario = tiny_scenario();
+            let mut cfg = cfg_with(profile, None);
+            cfg.query_budget = 3;
+            let mut lines = vec!["stats".to_string(); 2];
+            lines.push("x".repeat(MAX_QUERY_LINE + 1));
+            lines.extend(["bogus".to_string(), "stats".to_string(), "pair 0 1 v4".to_string()]);
+            let mut out = Vec::new();
+            let input = paced(lines, std::time::Duration::ZERO);
+            let outcome = serve(&scenario, cfg, Some(3), input, &mut out).unwrap();
+            assert_eq!(outcome.exit, ExitCode::Query);
+            let answers = answers(&out);
+            assert_eq!(answers.len(), 6, "{answers:?}");
+            assert!(answers[0].starts_with("ok {\"cmd\":\"stats\""));
+            assert!(answers[1].starts_with("ok {\"cmd\":\"stats\""));
+            // An oversize line is refused without spending the budget.
+            assert_eq!(answers[2], "err query line too long");
+            assert!(answers[3].starts_with("err unknown query 'bogus'"));
+            assert_eq!(answers[4], "err budget exhausted");
+            assert_eq!(answers[5], "err budget exhausted");
+        }
+    }
+
+    #[test]
+    fn metrics_answers_one_sorted_line() {
+        assert_eq!(metrics_answer(None), "err no registry");
+        let reg = s2s_obs::Registry::new();
+        reg.counter("service.epochs").add(3);
+        reg.gauge("service.checkpoint_bytes").set(10);
+        reg.span("service.apply").record(std::time::Duration::from_millis(2));
+        assert_eq!(
+            metrics_answer(Some(&reg)),
+            "ok {\"cmd\":\"metrics\",\"counters\":{\"service.epochs\":3},\
+             \"gauges\":{\"service.checkpoint_bytes\":10},\"spans\":{\"service.apply\":\
+             {\"count\":1,\"total_ms\":2.000000,\"max_ms\":2.000000}}}"
+        );
+        // Like any query, `metrics` counts against the budget.
+        let scenario = tiny_scenario();
+        let mut cfg = cfg_with(FaultProfile::default(), None);
+        cfg.query_budget = 1;
+        let svc = Service::new(&scenario, cfg);
+        let a = svc.answer("metrics");
+        assert!(a.starts_with("ok {\"cmd\":\"metrics\"") || a == "err no registry", "{a}");
+        assert_eq!(svc.answer("stats"), "err budget exhausted");
     }
 
     #[test]

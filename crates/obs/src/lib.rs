@@ -485,6 +485,37 @@ impl Snapshot {
         s
     }
 
+    /// Renders the counters, gauges and spans — not histograms or events —
+    /// as one compact JSON object on a single line, keys sorted:
+    /// `{"counters":{..},"gauges":{..},"spans":{"name":{"count":n,
+    /// "total_ms":x,"max_ms":y},..}}`, floats with six decimals. What a live
+    /// service answers to a `metrics` query.
+    pub fn to_json_line(&self) -> String {
+        let object = |fields: Vec<String>| format!("{{{}}}", fields.join(","));
+        let values = |map: &BTreeMap<String, u64>| {
+            object(map.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))).collect())
+        };
+        let spans = object(
+            self.spans
+                .iter()
+                .map(|(k, sp)| {
+                    format!(
+                        "\"{}\":{{\"count\":{},\"total_ms\":{},\"max_ms\":{}}}",
+                        json_escape(k),
+                        sp.count,
+                        json_f64(sp.total.as_secs_f64() * 1e3),
+                        json_f64(sp.max.as_secs_f64() * 1e3)
+                    )
+                })
+                .collect(),
+        );
+        format!(
+            "{{\"counters\":{},\"gauges\":{},\"spans\":{spans}}}",
+            values(&self.counters),
+            values(&self.gauges)
+        )
+    }
+
     /// A terse human-readable table of everything non-empty.
     pub fn summary_table(&self) -> String {
         let mut s = String::new();
@@ -738,6 +769,26 @@ mod tests {
         for key in ["\"counters\"", "\"events\""] {
             assert!(empty.contains(key));
         }
+    }
+
+    #[test]
+    fn json_line_is_one_sorted_line() {
+        let r = Registry::new();
+        r.counter("b").add(2);
+        r.counter("a\"q").inc();
+        r.gauge("g").set(5);
+        r.histogram("lat", &[1.0]).observe(0.5);
+        r.span("work").record(Duration::from_micros(1500));
+        r.event("evt", "not rendered".to_string());
+        assert_eq!(
+            r.snapshot().to_json_line(),
+            "{\"counters\":{\"a\\\"q\":1,\"b\":2},\"gauges\":{\"g\":5},\
+             \"spans\":{\"work\":{\"count\":1,\"total_ms\":1.500000,\"max_ms\":1.500000}}}"
+        );
+        assert_eq!(
+            Registry::new().snapshot().to_json_line(),
+            "{\"counters\":{},\"gauges\":{},\"spans\":{}}"
+        );
     }
 
     #[test]

@@ -359,17 +359,122 @@ pub fn write_traceroutes<W: std::io::Write>(
     Ok(())
 }
 
+/// The longest archive line the importers read, in bytes (1 MiB). The
+/// writers stay far below it: a traceroute line is at most ~17 KiB (255
+/// hops of at most 65 bytes — a 39-byte IPv6 address, a 24-byte RTT and two
+/// separators — after a header under 200 bytes), and a ping-timeline line
+/// takes at most 16 bytes per sample, ~10.8 KiB for the paper's 672-sample
+/// week and under 1 MiB for any schedule up to 65 536 samples (682 days at
+/// 15 minutes, beyond the paper's 485-day campaign). A longer line is
+/// damage: a strict import errors on it, a lossy one counts it skipped.
+pub const MAX_ARCHIVE_LINE: usize = 1 << 20;
+
+/// What one [`read_capped_line`] call found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CappedLine {
+    /// A line of at most the cap, now in the buffer without its newline.
+    Line,
+    /// A line longer than the cap, consumed up to and including its
+    /// newline (or EOF); the buffer is left empty.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes into `buf` (cleared first), the
+/// newline consumed but not stored. `buf` never grows past `cap`: a longer
+/// line is consumed up to and including its newline, or to EOF, and comes
+/// back as [`CappedLine::TooLong`], so the next call starts on the line
+/// after it. The bytes are not checked for UTF-8. `None` at EOF.
+pub fn read_capped_line(
+    input: &mut impl std::io::BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<Option<CappedLine>> {
+    buf.clear();
+    let (mut seen, mut too_long) = (false, false);
+    loop {
+        let avail = match input.fill_buf() {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            break;
+        }
+        seen = true;
+        let newline = avail.iter().position(|&b| b == b'\n');
+        let part = &avail[..newline.unwrap_or(avail.len())];
+        let need = buf.len() + part.len();
+        if need > cap {
+            too_long = true;
+            buf.clear();
+        } else if !too_long {
+            if need > buf.capacity() {
+                // Grow by doubling, but never past the cap.
+                buf.reserve_exact(need.max(2 * buf.capacity()).min(cap) - buf.len());
+            }
+            buf.extend_from_slice(part);
+        }
+        let used = part.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    Ok(match (seen, too_long) {
+        (false, _) => None,
+        (true, true) => Some(CappedLine::TooLong),
+        (true, false) => Some(CappedLine::Line),
+    })
+}
+
+/// An archive's lines, read through the [`MAX_ARCHIVE_LINE`] cap and
+/// numbered from 1.
+struct ArchiveLines<R> {
+    input: R,
+    buf: Vec<u8>,
+    lineno: usize,
+}
+
+impl<R: std::io::BufRead> ArchiveLines<R> {
+    fn new(input: R) -> ArchiveLines<R> {
+        ArchiveLines { input, buf: Vec::new(), lineno: 0 }
+    }
+
+    /// The next line and its number: its text, or why it is not text — over
+    /// the cap or not UTF-8, either way consumed through its newline, so the
+    /// line after it reads cleanly. `None` at EOF.
+    fn next(&mut self) -> std::io::Result<Option<(usize, Result<&str, String>)>> {
+        let Some(read) = read_capped_line(&mut self.input, &mut self.buf, MAX_ARCHIVE_LINE)?
+        else {
+            return Ok(None);
+        };
+        self.lineno += 1;
+        let text = match read {
+            CappedLine::TooLong => Err(format!("line longer than {MAX_ARCHIVE_LINE} bytes")),
+            CappedLine::Line => {
+                std::str::from_utf8(&self.buf).map_err(|_| "invalid UTF-8".to_string())
+            }
+        };
+        Ok(Some((self.lineno, text)))
+    }
+}
+
 /// Reads traceroute records from a reader (skipping blank lines and `#`
-/// comments). Errors carry 1-based line numbers.
+/// comments). Errors carry 1-based line numbers; a line longer than
+/// [`MAX_ARCHIVE_LINE`] is an error.
 pub fn read_traceroutes<R: std::io::BufRead>(
     r: R,
 ) -> Result<Vec<TracerouteRecord>, ParseError> {
     let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let lineno = i + 1;
-        let line =
-            line.map_err(|e| ParseError { line: lineno, message: e.to_string() })?;
-        let line = line.trim();
+    let mut lines = ArchiveLines::new(r);
+    loop {
+        let at = lines.lineno + 1;
+        let (lineno, line) = match lines.next() {
+            Ok(Some(l)) => l,
+            Ok(None) => break,
+            Err(e) => return Err(ParseError { line: at, message: e.to_string() }),
+        };
+        let line = line.map_err(|message| ParseError { line: lineno, message })?.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -384,7 +489,8 @@ pub fn read_traceroutes<R: std::io::BufRead>(
 pub struct ImportReport {
     /// Records parsed successfully.
     pub imported: usize,
-    /// Lines skipped as unparseable (corrupt, truncated, foreign).
+    /// Lines skipped as unparseable (corrupt, truncated, foreign, or longer
+    /// than [`MAX_ARCHIVE_LINE`]).
     pub skipped: usize,
     /// The first [`ImportReport::MAX_SAMPLED_ERRORS`] parse errors, for
     /// diagnosis; further errors only bump `skipped`.
@@ -409,22 +515,39 @@ impl ImportReport {
 }
 
 /// Reads traceroute records from a possibly damaged archive. Unparseable
-/// lines — bit rot, torn writes, foreign text — degrade to counted skips
-/// instead of aborting the import; blank lines and `#` comments are
-/// ignored as in [`read_traceroutes`] and count as neither imported nor
-/// skipped.
+/// lines — bit rot, torn writes, foreign text, invalid UTF-8, lines longer
+/// than [`MAX_ARCHIVE_LINE`] — degrade to counted skips instead of
+/// aborting the import; blank lines and `#` comments are ignored as in
+/// [`read_traceroutes`] and count as neither imported nor skipped. An I/O
+/// error means the *stream* is unreadable — losing the rest of the archive
+/// is not a per-line skip — and propagates.
 pub fn read_traceroutes_lossy<R: std::io::BufRead>(
     r: R,
 ) -> std::io::Result<(Vec<TracerouteRecord>, ImportReport)> {
+    read_lossy(r, traceroute_from_line)
+}
+
+/// The lossy import loop behind [`read_traceroutes_lossy`] and
+/// [`read_ping_timelines_lossy`].
+fn read_lossy<R: std::io::BufRead, T>(
+    r: R,
+    parse: impl Fn(&str, usize) -> Result<T, ParseError>,
+) -> std::io::Result<(Vec<T>, ImportReport)> {
     let mut out = Vec::new();
     let mut report = ImportReport::default();
-    for (i, line) in r.lines().enumerate() {
-        let Some(line) = lossy_line(line, i + 1, &mut report)? else { continue };
-        let line = line.trim();
+    let mut lines = ArchiveLines::new(r);
+    while let Some((lineno, line)) = lines.next()? {
+        let line = match line {
+            Ok(l) => l.trim(),
+            Err(message) => {
+                report.skip(ParseError { line: lineno, message });
+                continue;
+            }
+        };
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match traceroute_from_line(line, i + 1) {
+        match parse(line, lineno) {
             Ok(rec) => {
                 report.imported += 1;
                 out.push(rec);
@@ -433,25 +556,6 @@ pub fn read_traceroutes_lossy<R: std::io::BufRead>(
         }
     }
     Ok((out, report))
-}
-
-/// Resolves one line read for a lossy import: invalid UTF-8 is bit rot in
-/// the archive and degrades to a counted skip, while any other I/O error
-/// means the *stream* is unreadable — losing the rest of the archive is
-/// not a per-line skip — and propagates.
-fn lossy_line(
-    line: std::io::Result<String>,
-    lineno: usize,
-    report: &mut ImportReport,
-) -> std::io::Result<Option<String>> {
-    match line {
-        Ok(l) => Ok(Some(l)),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            report.skip(ParseError { line: lineno, message: "invalid UTF-8".into() });
-            Ok(None)
-        }
-        Err(e) => Err(e),
-    }
 }
 
 /// Writes ping timelines to a writer, one line each.
@@ -469,23 +573,7 @@ pub fn write_ping_timelines<W: std::io::Write>(
 pub fn read_ping_timelines_lossy<R: std::io::BufRead>(
     r: R,
 ) -> std::io::Result<(Vec<PingTimeline>, ImportReport)> {
-    let mut out = Vec::new();
-    let mut report = ImportReport::default();
-    for (i, line) in r.lines().enumerate() {
-        let Some(line) = lossy_line(line, i + 1, &mut report)? else { continue };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match ping_timeline_from_line(line, i + 1) {
-            Ok(tl) => {
-                report.imported += 1;
-                out.push(tl);
-            }
-            Err(e) => report.skip(e),
-        }
-    }
-    Ok((out, report))
+    read_lossy(r, ping_timeline_from_line)
 }
 
 /// Like [`write_traceroutes`], but each line passes through the fault
@@ -816,6 +904,78 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(report.skipped, 1);
         assert!(report.first_errors[0].message.contains("UTF-8"));
+    }
+
+    #[test]
+    fn capped_lines_stop_at_the_cap_and_resync() {
+        let mut input = &b"abc\nabcd\r\n\nab"[..];
+        let mut buf = Vec::new();
+        let mut read = || {
+            let r = read_capped_line(&mut input, &mut buf, 3).unwrap();
+            (r, String::from_utf8(buf.clone()).unwrap())
+        };
+        assert_eq!(read(), (Some(CappedLine::Line), "abc".into()), "exactly the cap");
+        assert_eq!(read(), (Some(CappedLine::TooLong), String::new()));
+        assert_eq!(read(), (Some(CappedLine::Line), String::new()), "a blank line");
+        assert_eq!(read(), (Some(CappedLine::Line), "ab".into()), "no newline at EOF");
+        assert_eq!(read(), (None, String::new()));
+    }
+
+    /// `good`, then a `huge`-byte line with no newline inside it, then
+    /// `good` twice more.
+    fn archive_with_huge_line(good: &str, huge: u64) -> impl std::io::BufRead {
+        use std::io::Read;
+        let head = std::io::Cursor::new(format!("{good}\n").into_bytes());
+        let tail = std::io::Cursor::new(format!("\n{good}\n{good}\n").into_bytes());
+        std::io::BufReader::new(head.chain(std::io::repeat(b'T').take(huge)).chain(tail))
+    }
+
+    #[test]
+    fn oversize_archive_lines_are_errors_or_counted_skips() {
+        let good = traceroute_to_line(&sample_record());
+        let huge = 4 << 20;
+        // The reader holds at most the cap, however long the line.
+        let mut input = archive_with_huge_line(&good, huge);
+        let mut buf = Vec::new();
+        assert_eq!(read_capped_line(&mut input, &mut buf, MAX_ARCHIVE_LINE).unwrap(), Some(CappedLine::Line));
+        assert_eq!(
+            read_capped_line(&mut input, &mut buf, MAX_ARCHIVE_LINE).unwrap(),
+            Some(CappedLine::TooLong)
+        );
+        assert!(buf.capacity() <= MAX_ARCHIVE_LINE, "capacity {}", buf.capacity());
+        assert_eq!(read_capped_line(&mut input, &mut buf, MAX_ARCHIVE_LINE).unwrap(), Some(CappedLine::Line));
+        assert_eq!(buf, good.as_bytes(), "resynced at the next newline");
+        // Lossy: one counted skip, the records after it still import.
+        let (out, report) = read_traceroutes_lossy(archive_with_huge_line(&good, huge)).unwrap();
+        assert_eq!(out, vec![sample_record(); 3]);
+        assert_eq!((report.imported, report.skipped), (3, 1));
+        assert_eq!(report.first_errors[0].line, 2);
+        assert!(report.first_errors[0].message.contains("longer than"), "{report:?}");
+        // Strict: an error naming the line.
+        let err = read_traceroutes(archive_with_huge_line(&good, huge)).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("longer than"), "{err}");
+        // A line of exactly the cap is still read (and here fails to parse).
+        let (out, report) =
+            read_traceroutes_lossy(archive_with_huge_line(&good, MAX_ARCHIVE_LINE as u64)).unwrap();
+        assert_eq!(out.len(), 3);
+        assert!(report.first_errors[0].message.contains("T-record"), "{report:?}");
+        // The ping importer: an oversize tail with no newline before EOF.
+        let tl = PingTimeline {
+            src: ClusterId::new(1),
+            dst: ClusterId::new(2),
+            proto: Protocol::V6,
+            start: SimTime::T0,
+            interval: SimDuration::from_minutes(15),
+            rtts: vec![10.0; 672],
+        };
+        let line = ping_timeline_to_line(&tl);
+        let input = std::io::Read::chain(
+            std::io::Cursor::new(format!("{line}\n").into_bytes()),
+            std::io::Read::take(std::io::repeat(b'9'), huge),
+        );
+        let (out, report) = read_ping_timelines_lossy(std::io::BufReader::new(input)).unwrap();
+        assert_eq!((out.len(), report.skipped), (1, 1));
     }
 
     #[test]
