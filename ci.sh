@@ -58,13 +58,14 @@ for t in 1 3; do
     test -n "$one_digest" && test "$t_digest" = "$one_digest"
 done
 
-echo "==> fabric crash-matrix smoke: 4 workers, kill+crash schedule, byte-identity"
+echo "==> fabric crash-matrix smoke: 4 workers, kill+crash+corrupt schedule, byte-identity"
 # The same experiment sharded over 4 worker subprocesses, with a seeded
-# fault plan that SIGKILLs shard 1 mid-campaign and crashes shard 3 on its
-# first attempt. The coordinator must retry/resume both, and the merged
-# dataset digest must match the 1-process smoke run's byte-for-byte.
+# fault plan that SIGKILLs shard 1 mid-campaign, crashes shard 3 on its
+# first attempt and corrupts shard 2's END checksum (the binary payload
+# must be rejected). The coordinator must retry/resume all three, and the
+# merged dataset digest must match the 1-process smoke run's byte-for-byte.
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
-    S2S_FABRIC_FAULT_PLAN='kill@1.1=1;exit@3.1' \
+    S2S_FABRIC_FAULT_PLAN='kill@1.1=1;exit@3.1;corrupt@2.1' \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --workers 4 \
     --metrics-json metrics_fabric.json |
     tee reproduce_fabric.txt
@@ -75,6 +76,8 @@ grep -q '"fabric.shards"' metrics_fabric.json
 grep -q '"fabric.retries"' metrics_fabric.json
 grep -q '"fabric.recoveries"' metrics_fabric.json
 grep -q '"fabric.lost"' metrics_fabric.json
+grep -q '"fabric.payload_bytes"' metrics_fabric.json
+grep -q '"fabric.merge"' metrics_fabric.json
 
 echo "==> snapshot smoke: write, reopen, byte-identical digest"
 # First run executes the campaign and persists the merged store as a

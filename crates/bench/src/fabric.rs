@@ -6,15 +6,15 @@
 //! the coordinator turns accepted shard payloads back into the same
 //! [`LongTermData`] the in-process collector produces.
 //!
-//! Two worker modes ship (selected by `S2S_FABRIC_MODE`):
+//! A worker sends its shard as one binary snapshot, which the coordinator
+//! streams into the merged store. Two worker modes ship (`S2S_FABRIC_MODE`):
 //!
 //! * `longterm` — the paper's 3-hourly dual-protocol traceroute mesh. The
-//!   payload is the shard's records in archived line form
-//!   ([`s2s_probe::dataset`]), which since the lossless-float change
-//!   round-trips bit-exactly — so the merged dataset is byte-identical to
-//!   one process, pinned by `tests/tests/fabric_equivalence.rs`.
+//!   snapshot holds the bytes [`s2s_probe::snapshot::write`] of the
+//!   one-process shard store writes, so the merged dataset is
+//!   byte-identical to one process (`tests/tests/fabric_equivalence.rs`).
 //! * `ping` — the §5 short-term mesh through a [`PairProfileSink`]; the
-//!   payload is one serialized sink state per (pair, protocol).
+//!   snapshot's `SINK` segment holds one state per (pair, protocol).
 //!
 //! Every worker rebuilds the world from the same `S2S_*` scale knobs it
 //! inherits from the coordinator, computes its own slice with
@@ -30,15 +30,16 @@ use crate::experiments::LongTermData;
 use crate::scenario::Scenario;
 use s2s_core::Analysis;
 use s2s_probe::campaign::lost_record;
-use s2s_probe::dataset::{traceroute_from_line, TraceLineWriter};
+use s2s_probe::dataset::TraceLineWriter;
 use s2s_probe::fabric::{
     emit_shard, fnv64_bytes, shard_range, Frame, HeartbeatHandle, WorkerAssignment,
     ENV_CKPT_DIR, ENV_MODE, ENV_SHARDS, FNV64_OFFSET,
 };
+use s2s_probe::snapshot::{self, Parts};
 use s2s_probe::{
     Campaign, CampaignConfig, CampaignReport, Coordinator, FabricConfig,
     FabricFaultProfile, FabricOutcome, FaultProfile, PairProfileSink, ProcessLauncher,
-    RetryPolicy, ShardPayload, StreamSink, TraceStore, WorkerFault, WorkerLauncher,
+    RetryPolicy, ShardPayload, Snapshot, StreamSink, TraceStore, WorkerFault, WorkerLauncher,
 };
 use s2s_types::{ClusterId, SimTime};
 use std::io::{self, Write};
@@ -194,18 +195,27 @@ pub fn worker_main() -> i32 {
 }
 
 /// What one worker mode measures: its pair universe and the shard
-/// campaign producing payload lines plus a report.
+/// campaign producing the payload snapshot plus a report.
 trait WorkerMode {
     /// The full (unsharded) pair list of this mode's campaign.
     fn pairs(&self, scenario: &Scenario) -> Vec<(ClusterId, ClusterId)>;
     /// Runs the shard campaign over `my_pairs` and returns the payload
-    /// lines (archived records or serialized sink states) and the report.
+    /// ([`encode`]d) and the report.
     fn run(
         &self,
         scenario: &Scenario,
         my_pairs: &[(ClusterId, ClusterId)],
         campaign: Campaign,
-    ) -> io::Result<(Vec<String>, CampaignReport)>;
+    ) -> io::Result<(Vec<u8>, CampaignReport)>;
+}
+
+/// A shard's payload: the snapshot of `parts` and `sinks` (`fabric.encode`).
+fn encode(parts: &Parts<'_>, sinks: &[String]) -> io::Result<Vec<u8>> {
+    s2s_obs::timed("fabric.encode", || {
+        let mut bytes = Vec::new();
+        snapshot::write_parts(&mut bytes, parts, sinks, s2s_probe::env::snapshot_block())?;
+        Ok(bytes)
+    })
 }
 
 struct LongTermMode;
@@ -220,7 +230,7 @@ impl WorkerMode for LongTermMode {
         scenario: &Scenario,
         my_pairs: &[(ClusterId, ClusterId)],
         campaign: Campaign,
-    ) -> io::Result<(Vec<String>, CampaignReport)> {
+    ) -> io::Result<(Vec<u8>, CampaignReport)> {
         let (stores, report) = campaign.run_traceroute_with(
             &scenario.net,
             my_pairs,
@@ -228,18 +238,9 @@ impl WorkerMode for LongTermMode {
             |_, _, _| TraceStore::new(),
             |st, rec| st.push(&rec),
         )?;
-        // Archived line form, in accumulator order — exactly the record
-        // sequence the one-process absorb loop sees for this slice.
-        let mut lines = Vec::with_capacity(stores.iter().map(TraceStore::len).sum());
-        for st in &stores {
-            let mut w = TraceLineWriter::new(st);
-            for v in st.iter() {
-                let mut line = String::new();
-                w.write(&mut line, v);
-                lines.push(line);
-            }
-        }
-        Ok((lines, report))
+        // Accumulator order: the one-process absorb loop's record order.
+        let parts: Vec<_> = stores.iter().map(|st| (st, 0..st.len())).collect();
+        Ok((encode(&parts, &[])?, report))
     }
 }
 
@@ -255,12 +256,13 @@ impl WorkerMode for PingMode {
         scenario: &Scenario,
         my_pairs: &[(ClusterId, ClusterId)],
         campaign: Campaign,
-    ) -> io::Result<(Vec<String>, CampaignReport)> {
+    ) -> io::Result<(Vec<u8>, CampaignReport)> {
         let (cfg, _) = ping_mesh(scenario);
         let sink = PairProfileSink::for_config(&cfg);
         let (states, report) = campaign.sink(sink).run_ping(&scenario.net, my_pairs)?;
         let sink = PairProfileSink::for_config(&cfg);
-        Ok((states.iter().map(|st| sink.save(st)).collect(), report))
+        let lines: Vec<String> = states.iter().map(|st| sink.save(st)).collect();
+        Ok((encode(&[], &lines)?, report))
     }
 }
 
@@ -328,9 +330,9 @@ fn run_worker<M: WorkerMode>(assign: WorkerAssignment, mode: M) -> i32 {
 
     let run = mode.run(&scenario, &my_pairs, campaign);
     // Heartbeats must stop before the result stream: an HB line landing
-    // inside a DATA payload region would corrupt the payload count.
+    // inside a DATA frame's bytes would corrupt the payload.
     hb.stop();
-    let (lines, report) = match run {
+    let (bytes, report) = match run {
         Ok(v) => v,
         Err(e) => {
             eprintln!("fabric worker: shard {} failed: {e}", assign.shard);
@@ -343,7 +345,7 @@ fn run_worker<M: WorkerMode>(assign: WorkerAssignment, mode: M) -> i32 {
 
     let snap = registry.snapshot();
     let payload = ShardPayload {
-        lines,
+        bytes,
         report,
         counters: snap.counters.into_iter().collect(),
     };
@@ -410,15 +412,14 @@ pub fn worker_launcher(
 /// dense and the loss is pure accounting ([`CampaignReport::lost_slots`]
 /// plus the coverage floor).
 ///
-/// Each shard's payload builds a per-shard [`TraceStore`] which the merge
-/// [`TraceStore::absorb`]s in shard order — identical to pushing every
-/// record sequentially (the absorb-order identity pinned in the store's
-/// proptests). When `S2S_SNAPSHOT_DIR` is set, every shard store is also
-/// written as `shard-<i>.snap` there and **the snapshot file, streamed
-/// back through [`s2s_probe::snapshot::absorb_files`]**, is what gets
-/// absorbed — so a fabric run exercises, and its digest certifies, the
-/// out-of-core persistence round trip without ever rematerializing a
-/// shard.
+/// The merge (span `fabric.merge`) streams each shard's snapshot into the
+/// store in shard order — identical to pushing every record sequentially
+/// (the absorb-order identity pinned in the store's proptests). When
+/// `S2S_SNAPSHOT_DIR` is set, the payload bytes are first written as
+/// `shard-<i>.snap` there and **the file, streamed back through
+/// [`s2s_probe::snapshot::absorb_files`]**, is what gets absorbed — so a
+/// fabric run exercises, and its digest certifies, the out-of-core
+/// persistence round trip without ever rematerializing a shard.
 pub fn collect_longterm_fabric<L: WorkerLauncher>(
     scenario: &Scenario,
     cfg: FabricConfig,
@@ -438,52 +439,49 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
     let times = camp_cfg.times();
     let mut store = TraceStore::new();
     let mut report = CampaignReport::default();
-    for s in &outcome.shards {
-        let mut shard_store = TraceStore::new();
-        if s.lost {
-            let range = shard_range(pairs.len(), n_shards, s.shard);
-            let slots = range.len() * camp_cfg.protocols.len() * times.len();
-            for &(src, dst) in &pairs[range] {
-                for &proto in &camp_cfg.protocols {
-                    for &t in &times {
-                        shard_store.push(&lost_record(src, dst, proto, t));
-                    }
-                }
-            }
-            report.merge(&CampaignReport {
-                offered: slots,
-                lost_slots: slots,
-                ..CampaignReport::default()
-            });
-        } else {
-            for (i, line) in s.lines.iter().enumerate() {
-                let rec = traceroute_from_line(line, i + 1).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("shard {} payload: {e}", s.shard),
-                    )
-                })?;
-                shard_store.push(&rec);
-            }
+    let streamed = Snapshot::options().stream(true);
+    s2s_obs::timed("fabric.merge", || -> io::Result<()> {
+        for s in &outcome.shards {
             if let Some(r) = &s.report {
                 report.merge(r);
             }
+            // A lost shard's slots become lost records: the dataset stays
+            // dense and the loss is accounting.
+            let lost = s.lost.then(|| {
+                let range = shard_range(pairs.len(), n_shards, s.shard);
+                report.merge(&lost_report(range.len(), &camp_cfg));
+                let mut shard_store = TraceStore::new();
+                for &(src, dst) in &pairs[range] {
+                    for &proto in &camp_cfg.protocols {
+                        for &t in &times {
+                            shard_store.push(&lost_record(src, dst, proto, t));
+                        }
+                    }
+                }
+                shard_store
+            });
+            let Some(dir) = &snap_dir else {
+                match &lost {
+                    Some(shard_store) => store.absorb(shard_store),
+                    None => drop(streamed.open_reader(s.payload())?.absorb_into(&mut store)?),
+                }
+                continue;
+            };
+            let path = dir.join(format!("shard-{}.snap", s.shard));
+            match &lost {
+                Some(shard_store) => snapshot::write_file(&path, shard_store, &[])?,
+                None => snapshot::write_file_bytes(&path, &s.lines)?,
+            };
+            // Stream the file back instead of reopening it whole:
+            // byte-identical to full-reopen + absorb, resident bytes
+            // bounded by one shard's arena plus one batch.
+            snapshot::absorb_files(&mut store, &[&path], &streamed)?;
         }
-        match &snap_dir {
-            Some(dir) => {
-                let path = dir.join(format!("shard-{}.snap", s.shard));
-                s2s_probe::snapshot::write_file(&path, &shard_store, &[])?;
-                // Stream the shard back instead of reopening it whole:
-                // byte-identical to full-reopen + absorb, resident bytes
-                // bounded by one shard's arena plus one batch.
-                let options = s2s_probe::Snapshot::options().stream(true);
-                s2s_probe::snapshot::absorb_files(&mut store, &[&path], &options)?;
-            }
-            None => store.absorb(&shard_store),
-        }
-    }
-    // The coordinator timed its (trivial) line concatenation; the real
-    // merge cost is re-interning the records, so overwrite with that.
+        Ok(())
+    })?;
+    // The coordinator timed its (trivial) result collection; the real
+    // merge cost is writing and absorbing the shards, so overwrite with
+    // that.
     outcome.stats.merge_ms = t_merge.elapsed().as_secs_f64() * 1e3;
 
     if let Some(reg) = s2s_obs::installed() {
@@ -494,6 +492,12 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
     let data =
         LongTermData { pairs, timelines, report, arena: Some(store.stats()) };
     Ok(FabricCollection { data, outcome, digest, store })
+}
+
+/// The accounting of a lost shard of `pairs` pairs: every slot lost.
+fn lost_report(pairs: usize, cfg: &CampaignConfig) -> CampaignReport {
+    let slots = pairs * cfg.protocols.len() * cfg.n_samples();
+    CampaignReport { offered: slots, lost_slots: slots, ..CampaignReport::default() }
 }
 
 /// One-process long-term collection plus the dataset digest — the
@@ -515,9 +519,10 @@ pub fn collect_longterm_digest(
 }
 
 /// Collects the short-term ping mesh through the fabric: the merged
-/// output is the serialized [`PairProfileSink`] state lines in shard
-/// order — byte-identical to saving the one-process run's states. Lost
-/// shards contribute no states, only accounting.
+/// output is the serialized [`PairProfileSink`] state lines of every
+/// shard's snapshot, in shard order — byte-identical to saving the
+/// one-process run's states. Lost shards contribute no states, only
+/// accounting.
 pub fn collect_ping_fabric<L: WorkerLauncher>(
     scenario: &Scenario,
     cfg: FabricConfig,
@@ -527,23 +532,22 @@ pub fn collect_ping_fabric<L: WorkerLauncher>(
     let (camp_cfg, pairs) = ping_mesh(scenario);
     let outcome = Coordinator::new(cfg, launcher).run(n_shards)?;
     let mut report = CampaignReport::default();
+    let mut states = Vec::new();
     for s in &outcome.shards {
         if s.lost {
             let range = shard_range(pairs.len(), n_shards, s.shard);
-            let slots = range.len() * camp_cfg.protocols.len() * camp_cfg.n_samples();
-            report.merge(&CampaignReport {
-                offered: slots,
-                lost_slots: slots,
-                ..CampaignReport::default()
-            });
-        } else if let Some(r) = &s.report {
-            report.merge(r);
+            report.merge(&lost_report(range.len(), &camp_cfg));
+        } else {
+            if let Some(r) = &s.report {
+                report.merge(r);
+            }
+            states.extend(Snapshot::options().open_reader(s.payload())?.into_snapshot()?.0.sinks);
         }
     }
     if let Some(reg) = s2s_obs::installed() {
         outcome.stats.publish(&reg, &outcome.shards);
     }
-    Ok((outcome.merged_lines(), report, outcome))
+    Ok((states, report, outcome))
 }
 
 #[cfg(test)]
@@ -578,35 +582,33 @@ mod tests {
             shard: usize,
             attempt: u32,
         ) -> io::Result<s2s_probe::fabric::LaunchedWorker> {
-            use s2s_probe::fabric::WorkerEvent;
+            use s2s_probe::fabric::{read_events, WorkerEvent};
             let (tx, rx) = std::sync::mpsc::channel();
             let scenario = Arc::clone(&self.scenario);
             let shards = self.shards;
             let lose = self.lose.contains(&shard);
             std::thread::spawn(move || {
-                let hello = Frame::Hello { shard, attempt }.to_line();
-                let _ = tx.send(WorkerEvent::Line(hello));
-                if lose {
-                    let _ = tx.send(WorkerEvent::Exit(Some(EXIT_CAMPAIGN)));
-                    return;
-                }
-                let all = longterm_pairs(&scenario);
-                let mine = &all[shard_range(all.len(), shards, shard)];
-                let (lines, report) = LongTermMode
-                    .run(
-                        &scenario,
-                        mine,
-                        Campaign::new(CampaignConfig::long_term(scenario.scale.days)),
-                    )
-                    .expect("in-memory campaign cannot fail");
+                let hello = format!("{}\n", Frame::Hello { shard, attempt }.to_line());
                 let mut buf = Vec::new();
-                let payload =
-                    ShardPayload { lines, report, counters: Vec::new() };
-                emit_shard(&mut buf, shard, &payload, false).unwrap();
-                for l in String::from_utf8(buf).unwrap().lines() {
-                    let _ = tx.send(WorkerEvent::Line(l.to_string()));
-                }
-                let _ = tx.send(WorkerEvent::Exit(Some(0)));
+                let code = if lose {
+                    EXIT_CAMPAIGN
+                } else {
+                    let all = longterm_pairs(&scenario);
+                    let mine = &all[shard_range(all.len(), shards, shard)];
+                    let (bytes, report) = LongTermMode
+                        .run(
+                            &scenario,
+                            mine,
+                            Campaign::new(CampaignConfig::long_term(scenario.scale.days)),
+                        )
+                        .expect("in-memory campaign cannot fail");
+                    let payload = ShardPayload { bytes, report, counters: Vec::new() };
+                    emit_shard(&mut buf, shard, &payload, false).unwrap();
+                    EXIT_OK
+                };
+                let stream = [hello.as_bytes(), &buf].concat();
+                let _ = read_events(&stream[..], |e| tx.send(e).is_ok());
+                let _ = tx.send(WorkerEvent::Exit(Some(code)));
             });
             Ok(s2s_probe::fabric::LaunchedWorker {
                 events: rx,
@@ -799,6 +801,35 @@ mod tests {
             assert_eq!(got.data.timelines, baseline.timelines);
             assert_eq!(got.data.report.delivered, baseline.report.delivered);
             assert_eq!(got.outcome.stats.lost, 0);
+        }
+    }
+
+    /// An accepted shard's payload is, byte for byte, the snapshot of the
+    /// one-process store's rows for that shard's pairs.
+    #[test]
+    fn accepted_payload_is_the_snapshot_of_the_one_process_shard() {
+        let scenario = Arc::new(micro_scenario());
+        let pairs = longterm_pairs(&scenario);
+        let (base, _) = scenario.long_term_store_faulty(
+            &pairs,
+            &FaultProfile::default(),
+            &RetryPolicy::default(),
+        );
+        let rows_per_pair = base.len() / pairs.len();
+        let workers = 2;
+        let launcher =
+            InProcess { scenario: Arc::clone(&scenario), shards: workers, lose: Vec::new() };
+        let got = collect_longterm_fabric(&scenario, fabric_cfg(workers), launcher).unwrap();
+        for s in &got.outcome.shards {
+            let range = shard_range(pairs.len(), workers, s.shard);
+            let mut shard_store = TraceStore::new();
+            for i in range.start * rows_per_pair..range.end * rows_per_pair {
+                shard_store.push(&base.view(i).to_record());
+            }
+            let mut want = Vec::new();
+            snapshot::write(&mut want, &shard_store, &[], s2s_probe::env::snapshot_block())
+                .unwrap();
+            assert!(s.lines.concat() == want, "shard {} payload", s.shard);
         }
     }
 

@@ -88,15 +88,15 @@ impl Campaign {
     /// Checkpoints completed pairs to `path` and resumes from it on rerun.
     /// Pairs are measured epoch-major through the same batched core as an
     /// in-memory run, in blocks of `threads × 64` pairs; after each block
-    /// its pairs are appended to `path` in pair order and flushed, so a
-    /// kill loses at most one block. The file format — per pair a
-    /// `B|idx|n|…` header pinning the pair and the schedule, the payload
-    /// lines, `E|idx` — does not depend on the block size or thread
-    /// count; blocks written for another pair list or schedule are
+    /// its pairs are appended to `path` as one snapshot chunk
+    /// ([`crate::snapshot`]) and flushed, so a kill loses at most one
+    /// block. Each pair's `B|idx|n|…` header in the chunk's sink lines pins
+    /// the pair and the schedule: chunks written for another pair list or
+    /// schedule, torn or damaged chunks, and files in any other format are
     /// re-measured, not replayed. The finished file and the accumulators
     /// are bit-identical to an uninterrupted run (see the module docs on
-    /// `campaign` for why). Traceroute campaigns archive
-    /// record blocks; ping campaigns (including [`Campaign::sink`] runs)
+    /// `campaign` for why). Traceroute campaigns archive their records as
+    /// store rows; ping campaigns (including [`Campaign::sink`] runs)
     /// archive serialized sink state. A worker panic poisons only its own
     /// pairs ([`CampaignReport::poisoned_pairs`]); the file then ends
     /// before the first poisoned pair, so a rerun re-measures it.

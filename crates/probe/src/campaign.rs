@@ -28,9 +28,10 @@
 //! so the result is byte-identical to the sequential reference executor
 //! regardless of thread count or sample range.
 
-use crate::dataset::{traceroute_from_line, traceroute_to_line};
 use crate::faults::{FaultInjector, FaultProfile, ProbeFault};
 use crate::records::{PingRecord, TracerouteRecord};
+use crate::snapshot;
+use crate::store::TraceStore;
 use crate::stream::StreamSink;
 use crate::tracer::{trace, TraceOptions};
 use s2s_netsim::Network;
@@ -731,14 +732,20 @@ where
 /// loses little work.
 pub(crate) const CHECKPOINT_BLOCK_PAIRS: usize = 64;
 
+/// What a checkpoint chunk keeps of one (pair, protocol) slot.
+pub(crate) enum Archived {
+    /// A traceroute slot's records, one row per sample in time order.
+    Rows(Box<TraceStore>),
+    /// A ping slot's [`StreamSink::save`] line.
+    Line(String),
+}
+
 /// The checkpoint/resume ping executor over a [`StreamSink`]: the core
-/// run as a block fold by [`run_checkpointed`], with one
-/// [`StreamSink::save`] line per protocol as each pair's block payload.
-/// On resume, complete leading blocks are [`StreamSink::load`]ed instead
-/// of re-measured (the per-probe report counters of replayed pairs are not
-/// reconstructed, mirroring the traceroute path). Because fault decisions
-/// are content-keyed and `save`/`load` round-trip bit-exactly, the
-/// finished file and the returned states match an uninterrupted run's.
+/// run as a block fold by [`run_checkpointed`], each slot archived as its
+/// [`StreamSink::save`] line and replayed by [`StreamSink::load`] (the
+/// per-probe report counters of replayed pairs are not reconstructed,
+/// mirroring the traceroute path). `save`/`load` round-trip bit-exactly,
+/// so the finished file and states match an uninterrupted run's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     net: &Network,
@@ -755,20 +762,17 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
         checkpoint,
         pairs,
         cfg,
-        cfg.protocols.len(),
+        (0, 1),
         block_pairs,
-        |_, lines| lines.iter().map(|line| sink.load(line)).collect(),
+        |_, _, _, lines| lines.iter().map(|line| sink.load(line)).collect(),
         |block| {
             let (states, report) =
                 run_core(net, block, cfg, profile, retry, &Pings(sink), 0..n_samples);
-            let slots = states
-                .into_iter()
-                .map(|st| {
-                    let line = sink.save(&st);
-                    (st, vec![line])
-                })
-                .collect();
-            (slots, report)
+            let slots = states.into_iter().map(|st| {
+                let line = Archived::Line(sink.save(&st));
+                (st, line)
+            });
+            (slots.collect(), report)
         },
     )
 }
@@ -781,16 +785,10 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
 /// **Bit-identical dataset guarantee.** Kill this process at any instant
 /// and rerun with the same arguments: the finished checkpoint file is
 /// byte-identical to the one an uninterrupted run writes, and the returned
-/// accumulators are equal. Three properties make that true: fault
-/// decisions are content-keyed (never order- or wallclock-dependent);
-/// blocks are written in pair order and a partial trailing block is
-/// discarded on resume; and *every* record — fresh or replayed — is folded
-/// through the archive line format, so a replayed pair folds exactly the
-/// bytes a fresh pair would have archived.
-///
-/// The checkpoint format rides the dataset line format: per pair, the
-/// block header (see [`run_checkpointed`]), the records as `T|…` lines
-/// (time-major, protocol-minor), then `E|<pair_index>`.
+/// accumulators are equal. Fault decisions are content-keyed; chunks are
+/// appended in pair order and a torn tail is cut off on resume; a fresh
+/// record is folded live and archived as a store row, and a replayed one
+/// is its row's lossless [`TraceView::to_record`](crate::TraceView::to_record).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
     net: &Network,
@@ -811,179 +809,157 @@ where
     let n_samples = cfg.n_samples();
     let archiving = Traces {
         opts_of: &kind.opts_of,
-        init: |s, d, p| ((kind.init)(s, d, p), Vec::with_capacity(n_samples)),
-        step: |(acc, lines): &mut (A, Vec<String>), rec| {
-            let line = traceroute_to_line(&rec);
-            // Fold the archived form, not the live one: replay and fresh
-            // paths must fold identical bytes.
-            (kind.step)(acc, traceroute_from_line(&line, 0).expect("own format must round-trip"));
-            lines.push(line);
+        init: |s, d, p| ((kind.init)(s, d, p), TraceStore::new()),
+        step: |(acc, rows): &mut (A, TraceStore), rec: TracerouteRecord| {
+            rows.push(&rec);
+            (kind.step)(acc, rec);
         },
     };
     run_checkpointed(
         checkpoint,
         pairs,
         cfg,
-        n_samples * cfg.protocols.len(),
+        (n_samples, 0),
         block_pairs,
-        |pi, lines| {
+        |pi, store, rows, _| {
             let (src, dst) = pairs[pi];
-            let mut accs: Vec<A> =
-                cfg.protocols.iter().map(|&p| (kind.init)(src, dst, p)).collect();
-            for (li, line) in lines.iter().enumerate() {
-                let rec = traceroute_from_line(line, li + 1).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                let qi = cfg.protocols.iter().position(|&p| p == rec.proto).unwrap_or(0);
-                (kind.step)(&mut accs[qi], rec);
-            }
-            Ok(accs)
+            let mut next = rows.start;
+            let accs = cfg.protocols.iter().map(|&p| {
+                let mut acc = (kind.init)(src, dst, p);
+                for i in next..next + n_samples {
+                    (kind.step)(&mut acc, store.view(i).to_record());
+                }
+                next += n_samples;
+                acc
+            });
+            Ok(accs.collect())
         },
-        |block| run_core(net, block, cfg, profile, retry, &archiving, 0..n_samples),
+        |block| {
+            let (slots, report) =
+                run_core(net, block, cfg, profile, retry, &archiving, 0..n_samples);
+            let slots = slots.into_iter().map(|(acc, rows)| (acc, Archived::Rows(Box::new(rows))));
+            (slots.collect(), report)
+        },
     )
 }
 
-/// The block fold both checkpointed executors share: load the complete
-/// leading pair blocks of `checkpoint` (truncating a torn tail), `replay`
-/// them into accumulators, then measure the remaining pairs `block_pairs`
-/// at a time with `run_block` and append each block's pairs in pair order,
-/// flushing after every block — a kill loses at most one block.
+/// The block fold both checkpointed executors share. A checkpoint is a
+/// log of snapshot chunks ([`snapshot::write_parts`]), one per block of
+/// `block_pairs` pairs measured by `run_block`: each slot's `rows_per_slot`
+/// rows as `BLOCK` segments, and as sink lines, per pair, the header
+/// `B|<pair_index>|<records>|<src>|<dst>|<start>|<end>|<interval>|<protocols>`
+/// (pinning the pair and the schedule) then its slots' `lines_per_slot`
+/// lines each. Chunks are flushed, not synced: the crash model is a
+/// killed process, and a kill loses at most one block.
 ///
-/// Each pair's file block opens with the header
-/// `B|<pair_index>|<n_lines>|<src>|<dst>|<start>|<end>|<interval>|<protocols>`,
-/// which pins the pair and the schedule: a block written for another pair
-/// list or schedule ends the replayable prefix and is re-measured, never
-/// folded into the wrong slots.
+/// Resume `replay`s the chunks in order (`replay(pair_index, chunk_store,
+/// rows, lines)`). The first chunk that does not read cleanly (torn,
+/// bit-flipped, another format) or names other pairs or another schedule
+/// ends the replayable prefix; the file is cut back to it and the rest is
+/// re-measured, never folded into the wrong slots.
 ///
-/// `run_block` returns one `(accumulator, archive lines)` per
-/// (pair, protocol) slot, pair-major, plus the block's report; a pair's
-/// file block holds its slots' lines interleaved time-major,
-/// protocol-minor. A pair the block's report marks poisoned (its worker
-/// panicked) holds fresh accumulators, so appending stops before it: the
-/// rest of the run still measures in memory, and a rerun re-measures from
+/// `run_block` returns one `(accumulator, archive)` per (pair, protocol)
+/// slot, pair-major, plus the block's report. A pair the report marks
+/// poisoned (its worker panicked) holds fresh accumulators, so its chunk
+/// stops before it and nothing more is appended: a rerun re-measures from
 /// that pair on instead of replaying its empty state as complete.
 fn run_checkpointed<A>(
     checkpoint: &std::path::Path,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
-    lines_per_pair: usize,
+    (rows_per_slot, lines_per_slot): (usize, usize),
     block_pairs: usize,
-    replay: impl Fn(usize, &[String]) -> std::io::Result<Vec<A>>,
-    run_block: impl Fn(&[(ClusterId, ClusterId)]) -> (Vec<(A, Vec<String>)>, CampaignReport),
+    replay: impl Fn(usize, &TraceStore, Range<usize>, &[String]) -> std::io::Result<Vec<A>>,
+    run_block: impl Fn(&[(ClusterId, ClusterId)]) -> (Vec<(A, Archived)>, CampaignReport),
 ) -> std::io::Result<(Vec<A>, CampaignReport)> {
-    use std::io::{Seek, SeekFrom, Write};
-    let slots_per_pair = cfg.protocols.len();
+    let n_protos = cfg.protocols.len();
+    let (rows_per_pair, lines_per_pair) = (rows_per_slot * n_protos, 1 + lines_per_slot * n_protos);
     let protocols: Vec<String> = cfg.protocols.iter().map(ToString::to_string).collect();
     let schedule =
         format!("{}|{}|{}|{}", cfg.start.0, cfg.end.0, cfg.interval.0, protocols.join(","));
     let header = |pi: usize| {
-        let (src, dst) = pairs[pi];
-        format!("B|{pi}|{lines_per_pair}|{}|{}|{schedule}", src.0, dst.0)
+        let (records, (src, dst)) = (rows_per_pair + lines_per_pair - 1, pairs[pi]);
+        format!("B|{pi}|{records}|{}|{}|{schedule}", src.0, dst.0)
     };
-    let (replayable, keep_bytes) =
-        load_checkpoint_prefix(checkpoint, (0..pairs.len()).map(header), lines_per_pair)?;
-    let done_pairs = replayable.len();
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .read(true)
-        // Not truncated on open: the complete leading blocks are kept and
-        // set_len below discards only the rest.
-        .truncate(false)
-        .open(checkpoint)?;
-    file.set_len(keep_bytes)?;
-    let mut out = std::io::BufWriter::new(file);
-    out.seek(SeekFrom::End(0))?;
 
-    let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * slots_per_pair);
+    let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * n_protos);
     let mut report = CampaignReport::default();
-    for (pi, lines) in replayable.iter().enumerate() {
-        let pair_accs = replay(pi, lines)
-            .map_err(|e| std::io::Error::new(e.kind(), format!("checkpoint block {pi}: {e}")))?;
-        accs.extend(pair_accs);
-        report.resumed_pairs += 1;
-    }
-
-    let block_pairs = block_pairs.max(1);
-    let mut appending = true;
-    for (bi, block) in pairs[done_pairs..].chunks(block_pairs).enumerate() {
-        let (slots, block_report) = run_block(block);
-        let mut slots = slots.into_iter();
-        for (off, pair) in block.iter().enumerate() {
-            let mut pair_lines = Vec::with_capacity(slots_per_pair);
-            for (acc, lines) in slots.by_ref().take(slots_per_pair) {
-                accs.push(acc);
-                pair_lines.push(lines.into_iter());
-            }
-            appending &= !block_report.poisoned_pairs.contains(pair);
-            if !appending {
-                continue;
-            }
-            let idx = done_pairs + bi * block_pairs + off;
-            writeln!(out, "{}", header(idx))?;
-            // One line per slot per pass: time-major, protocol-minor.
-            while pair_lines.iter().any(|lines| !lines.as_slice().is_empty()) {
-                for line in pair_lines.iter_mut().filter_map(Iterator::next) {
-                    writeln!(out, "{line}")?;
-                }
-            }
-            writeln!(out, "E|{idx}")?;
-        }
-        out.flush()?;
-        report.merge(&block_report);
-    }
-    Ok((accs, report))
-}
-
-/// Reads the complete leading blocks of a checkpoint file: block `i` must
-/// open with the `i`-th of `headers` and hold `records_per_pair` lines.
-/// Returns the record lines of each complete pair block (in pair order)
-/// and the byte length of the accepted prefix; everything after — a torn
-/// block from a mid-write kill, another campaign's block, or trailing
-/// garbage — is for the caller to truncate.
-fn load_checkpoint_prefix(
-    path: &std::path::Path,
-    headers: impl Iterator<Item = String>,
-    records_per_pair: usize,
-) -> std::io::Result<(Vec<Vec<String>>, u64)> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), 0));
-        }
+    let (mut done, mut keep) = (0, 0);
+    let log = match snapshot::LogReader::open(checkpoint) {
+        Ok(log) => Some(log),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(e),
     };
-    let mut blocks: Vec<Vec<String>> = Vec::new();
-    let mut accepted: u64 = 0;
-    let mut lines = text.split_inclusive('\n');
-    'blocks: for expected in headers {
-        let Some(header) = lines.next() else { break };
-        if header.trim_end() != expected {
-            break;
+    if let Some(mut log) = log {
+        'chunks: while let Some(chunk) = log.next_chunk()? {
+            let n = chunk.sinks.len() / lines_per_pair;
+            let fits = n > 0
+                && done + n <= pairs.len()
+                && chunk.sinks.len() == n * lines_per_pair
+                && chunk.store.len() == n * rows_per_pair
+                && (0..n).all(|j| chunk.sinks[j * lines_per_pair] == header(done + j));
+            if !fits {
+                break;
+            }
+            let mut replayed = Vec::with_capacity(n * n_protos);
+            for j in 0..n {
+                let lines = &chunk.sinks[j * lines_per_pair + 1..(j + 1) * lines_per_pair];
+                let rows = j * rows_per_pair..(j + 1) * rows_per_pair;
+                // A state line that does not load is damage too.
+                let Ok(pair_accs) = replay(done + j, &chunk.store, rows, lines) else {
+                    break 'chunks;
+                };
+                replayed.extend(pair_accs);
+            }
+            accs.extend(replayed);
+            done += n;
+            keep = log.offset();
         }
-        let mut block_bytes = header.len() as u64;
-        let mut records = Vec::with_capacity(records_per_pair);
-        for _ in 0..records_per_pair {
-            let Some(line) = lines.next() else { break 'blocks };
-            block_bytes += line.len() as u64;
-            records.push(line.trim_end().to_string());
-        }
-        let Some(footer) = lines.next() else { break };
-        block_bytes += footer.len() as u64;
-        // Only a block whose footer landed on disk intact counts.
-        if footer.trim_end() != format!("E|{}", blocks.len()) || !footer.ends_with('\n') {
-            break;
-        }
-        accepted += block_bytes;
-        blocks.push(records);
     }
-    Ok((blocks, accepted))
+    report.resumed_pairs = done;
+    // Appends after the replayable chunks; set_len discards the rest.
+    let file = std::fs::OpenOptions::new().create(true).append(true).open(checkpoint)?;
+    file.set_len(keep)?;
+    let mut out = std::io::BufWriter::new(file);
+
+    let mut appending = true;
+    for block in pairs[done..].chunks(block_pairs.max(1)) {
+        let (slots, block_report) = run_block(block);
+        let whole = if appending {
+            block.iter().take_while(|p| !block_report.poisoned_pairs.contains(p)).count()
+        } else {
+            0
+        };
+        let (mut stores, mut sinks) = (Vec::new(), Vec::new());
+        for (i, (acc, archived)) in slots.into_iter().enumerate() {
+            let j = i / n_protos;
+            if j < whole {
+                if i % n_protos == 0 {
+                    sinks.push(header(done + j));
+                }
+                match archived {
+                    Archived::Rows(rows) => stores.push(rows),
+                    Archived::Line(line) => sinks.push(line),
+                }
+            }
+            accs.push(acc);
+        }
+        if whole > 0 {
+            let parts: Vec<_> = stores.iter().map(|st| (&**st, 0..st.len())).collect();
+            snapshot::write_parts(&mut out, &parts, &sinks, crate::env::snapshot_block())?;
+        }
+        appending &= whole == block.len();
+        report.merge(&block_report);
+        done += block.len();
+    }
+    Ok((accs, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::Campaign;
+    use crate::dataset::traceroute_to_line;
     use s2s_netsim::{CongestionModel, NetworkParams};
     use s2s_routing::{Dynamics, DynamicsParams, RouteOracle};
     use s2s_topology::{build_topology, TopologyParams};
@@ -1681,23 +1657,52 @@ mod tests {
         }
     }
 
-    /// Kill points in a finished checkpoint, each with the number of pair
-    /// blocks complete before it: every pair block's end (so every block
-    /// boundary and every pair boundary inside a block), five bytes past
-    /// each (mid-line), and a cut inside the last record line.
+    /// The chunks of a checkpoint log: each one's byte range and how many
+    /// pairs it holds (its `B|` headers).
+    fn chunk_spans(bytes: &[u8]) -> Vec<(Range<usize>, usize)> {
+        let mut log = snapshot::LogReader::new(bytes);
+        let (mut spans, mut at) = (Vec::new(), 0);
+        while let Some(chunk) = log.next_chunk().expect("in-memory log") {
+            let end = log.offset() as usize;
+            spans.push((at..end, chunk.sinks.iter().filter(|l| l.starts_with("B|")).count()));
+            at = end;
+        }
+        assert_eq!(at, bytes.len(), "a finished checkpoint is whole chunks");
+        spans
+    }
+
+    /// Every record and sink line of a checkpoint log, chunk after chunk:
+    /// what the file holds, whatever its chunking.
+    fn log_contents(path: &std::path::Path) -> (Vec<TracerouteRecord>, Vec<String>) {
+        let mut log = snapshot::LogReader::open(path).expect("open checkpoint");
+        let (mut records, mut lines) = (Vec::new(), Vec::new());
+        while let Some(chunk) = log.next_chunk().expect("read checkpoint") {
+            records.extend(chunk.store.to_records());
+            lines.extend(chunk.sinks);
+        }
+        assert_eq!(log.damage(), None);
+        (records, lines)
+    }
+
+    /// Kill points in a finished checkpoint, each with the number of pairs
+    /// replayable after it: every chunk's end (every block boundary) and
+    /// five bytes past it, one cut at each pair boundary's share of every
+    /// chunk (where a kill inside a block lands), and a cut inside the
+    /// last chunk's tail.
     fn kill_points(bytes: &[u8]) -> Vec<(usize, usize)> {
-        let (mut points, mut at, mut complete) = (vec![(0, 0), (1, 0)], 0, 0);
-        for line in bytes.split_inclusive(|&b| b == b'\n') {
-            at += line.len();
-            if line.starts_with(b"E|") {
-                complete += 1;
-                points.push((at, complete));
-                if at + 5 < bytes.len() {
-                    points.push((at + 5, complete));
-                }
+        let (mut points, mut complete, mut last) = (vec![(0, 0), (1, 0)], 0, 0);
+        for (span, pairs) in chunk_spans(bytes) {
+            for j in 1..pairs {
+                points.push((span.start + span.len() * j / pairs, complete));
+            }
+            complete += pairs;
+            last = pairs;
+            points.push((span.end, complete));
+            if span.end + 5 < bytes.len() {
+                points.push((span.end + 5, complete));
             }
         }
-        points.push((bytes.len() - 7, complete - 1));
+        points.push((bytes.len() - 7, complete - last));
         points
     }
 
@@ -1722,8 +1727,11 @@ mod tests {
         let full_bytes = std::fs::read(&full_path).unwrap();
         assert_eq!(full_report.resumed_pairs, 0);
 
-        // The file does not depend on the block size: the builder's
-        // default block (all 20 pairs at once) writes the same bytes.
+        assert_eq!(chunk_spans(&full_bytes).len(), 7, "one chunk per block");
+
+        // The file's records and lines do not depend on the block size,
+        // only its chunking does: the builder's default block (all 20
+        // pairs at once) writes one chunk holding the same contents.
         let default_path = tmp_path("ckpt_default_block.txt");
         let (accs, report) = Campaign::new(cfg.clone())
             .faults(profile)
@@ -1731,19 +1739,21 @@ mod tests {
             .checkpoint(&default_path)
             .run_traceroute(&net, &pairs, TraceOptions::default(), init, step)
             .unwrap();
-        assert_eq!(std::fs::read(&default_path).unwrap(), full_bytes);
+        assert_eq!(chunk_spans(&std::fs::read(&default_path).unwrap()).len(), 1);
+        assert_eq!(log_contents(&default_path), log_contents(&full_path));
         assert_eq!((accs, report), (full_accs.clone(), full_report));
         let _ = std::fs::remove_file(&default_path);
 
-        // Kill the campaign at every pair boundary and mid-line, and
-        // resume: the finished file must match the uninterrupted one.
+        // Kill the campaign at every block boundary and inside every
+        // chunk, and resume: the finished file must match the
+        // uninterrupted one.
         for (cut, complete) in kill_points(&full_bytes) {
             let path = tmp_path(&format!("ckpt_killed_at_{cut}.txt"));
             std::fs::write(&path, &full_bytes[..cut]).unwrap();
             let (accs, report) = run(&path);
             let resumed_bytes = std::fs::read(&path).unwrap();
-            assert_eq!(
-                resumed_bytes, full_bytes,
+            assert!(
+                resumed_bytes == full_bytes,
                 "kill at byte {cut}: resumed checkpoint must be bit-identical"
             );
             assert_eq!(accs, full_accs, "kill at byte {cut}: accumulators must match");
@@ -1763,6 +1773,119 @@ mod tests {
         assert_eq!(report.offered, 0);
         assert_eq!(std::fs::read(&full_path).unwrap(), full_bytes);
         let _ = std::fs::remove_file(&full_path);
+    }
+
+    /// A torn or bit-flipped last chunk ends the replayable prefix: cut
+    /// at a spread of offsets inside it, or with one bit flipped at a
+    /// spread of offsets, a resumed run replays exactly the chunks before
+    /// it and re-measures the rest, for traceroute and ping campaigns, and
+    /// the finished file is byte-identical to an uninterrupted run's.
+    #[test]
+    fn torn_or_flipped_last_chunk_resumes_the_valid_prefix() {
+        let net = network(7);
+        let pairs = full_mesh_pairs(4); // 12 ordered pairs
+        let cfg = small_cfg(2);
+        let profile = lossy_profile();
+        let retry = RetryPolicy::default();
+        let init = |_, _, _| Vec::new();
+        let step = |acc: &mut Vec<TracerouteRecord>, rec: TracerouteRecord| acc.push(rec);
+        let sink = crate::stream::TimelineSink::for_config(&cfg);
+        type Run<'a> = Box<dyn Fn(&std::path::Path) -> (String, CampaignReport) + 'a>;
+        let runs: [(&str, Run<'_>); 2] = [
+            (
+                "traceroute",
+                Box::new(|path| {
+                    let kind = Traces { opts_of: |_, _| TraceOptions::default(), init, step };
+                    let (accs, report) = traceroute_resumable_impl(
+                        &net, &pairs, &cfg, &profile, &retry, path, 5, &kind,
+                    )
+                    .unwrap();
+                    (format!("{accs:?}"), report)
+                }),
+            ),
+            (
+                "ping",
+                Box::new(|path| {
+                    let (states, report) = ping_sink_resumable_impl(
+                        &net, &pairs, &cfg, &profile, &retry, path, 5, &sink,
+                    )
+                    .unwrap();
+                    (format!("{:?}", timeline_bits(&states)), report)
+                }),
+            ),
+        ];
+        for (what, run) in &runs {
+            let full_path = tmp_path(&format!("ckpt_torn_full_{what}.txt"));
+            let (full, _) = run(&full_path);
+            let full_bytes = std::fs::read(&full_path).unwrap();
+            let spans = chunk_spans(&full_bytes);
+            let (last, last_pairs) = spans.last().cloned().unwrap();
+            let before = pairs.len() - last_pairs;
+            let mut damaged: Vec<(String, Vec<u8>)> = Vec::new();
+            for k in 1..=16 {
+                let cut = last.start + (last.len() * k / 17).max(1);
+                damaged.push((format!("cut at {cut}"), full_bytes[..cut].to_vec()));
+            }
+            for k in 0..16 {
+                let at = last.start + last.len() * k / 16;
+                let mut bytes = full_bytes.clone();
+                bytes[at] ^= 1 << (k % 8);
+                damaged.push((format!("bit flip at {at}"), bytes));
+            }
+            for (how, bytes) in damaged {
+                let path = tmp_path(&format!("ckpt_torn_{what}.txt"));
+                std::fs::write(&path, &bytes).unwrap();
+                let (got, report) = run(&path);
+                assert_eq!(report.resumed_pairs, before, "{what}, {how}");
+                assert_eq!(got, full, "{what}, {how}: accumulators");
+                assert!(std::fs::read(&path).unwrap() == full_bytes, "{what}, {how}: file");
+                let _ = std::fs::remove_file(&path);
+            }
+            let _ = std::fs::remove_file(&full_path);
+        }
+    }
+
+    /// A checkpoint in the text framing earlier versions wrote (`B|…`
+    /// header, archive lines, `E|<pair>`) is foreign data: it is
+    /// re-measured and replaced, never an error and never folded.
+    #[test]
+    fn text_framed_checkpoint_is_re_measured_and_replaced() {
+        let net = network(42);
+        let pairs = full_mesh_pairs(3);
+        let cfg = small_cfg(2);
+        let init = |_, _, _| Vec::new();
+        let step =
+            |acc: &mut Vec<String>, rec: TracerouteRecord| acc.push(traceroute_to_line(&rec));
+        let run = |path: &std::path::Path| {
+            Campaign::new(cfg.clone())
+                .checkpoint(path)
+                .run_traceroute(&net, &pairs, TraceOptions::default(), init, step)
+                .unwrap()
+        };
+        let fresh_path = tmp_path("ckpt_text_fresh.txt");
+        let (fresh, fresh_report) = run(&fresh_path);
+        let mut text = String::new();
+        for (pi, lines) in fresh.chunks(cfg.protocols.len()).enumerate() {
+            let (src, dst) = pairs[pi];
+            let n: usize = lines.iter().map(Vec::len).sum();
+            let schedule = format!("{}|{}|{}|IPv4,IPv6", cfg.start.0, cfg.end.0, cfg.interval.0);
+            text += &format!("B|{pi}|{n}|{}|{}|{schedule}\n", src.0, dst.0);
+            // Time-major, protocol-minor, as those files held them.
+            for t in 0..cfg.n_samples() {
+                for proto_lines in lines {
+                    text += &format!("{}\n", proto_lines[t]);
+                }
+            }
+            text += &format!("E|{pi}\n");
+        }
+        let path = tmp_path("ckpt_text_framed.txt");
+        std::fs::write(&path, text).unwrap();
+        let (accs, report) = run(&path);
+        assert_eq!(report.resumed_pairs, 0);
+        assert_eq!((accs, report), (fresh, fresh_report));
+        assert!(std::fs::read(&path).unwrap() == std::fs::read(&fresh_path).unwrap());
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&fresh_path);
     }
 
     /// A checkpoint written by another campaign is never replayed: each
@@ -1841,15 +1964,26 @@ mod tests {
         for (i, (&n, &want)) in accs.iter().zip(&clean).enumerate() {
             assert_eq!(n, if i == bad { 0 } else { want }, "pair {i}");
         }
-        let bad_block = clean_bytes.windows(4).position(|w| w == b"B|2|").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), clean_bytes[..bad_block]);
+        // The file holds exactly the pairs before the poisoned one: the
+        // chunk a clean run over those pairs alone writes.
+        let before_path = tmp_path("ckpt_panic_before.txt");
+        Campaign::new(cfg.clone())
+            .checkpoint(&before_path)
+            .run_traceroute(&net, &pairs[..bad], TraceOptions::default(), |_, _, _| 0, |_, _| {})
+            .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&before_path).unwrap());
 
         let (accs, report) = run(&path, false);
         assert_eq!(accs, clean);
         assert_eq!((report.resumed_pairs, report.worker_panics), (bad, 0));
-        assert_eq!(std::fs::read(&path).unwrap(), clean_bytes);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&clean_path);
+        // The rerun appends the rest as a second chunk; the file then
+        // holds the clean run's records and lines.
+        assert_eq!(chunk_spans(&std::fs::read(&path).unwrap()).len(), 2);
+        assert_eq!(log_contents(&path), log_contents(&clean_path));
+        assert_eq!(chunk_spans(&clean_bytes).len(), 1);
+        for p in [&path, &clean_path, &before_path] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     /// The count regression for the checkpoint path: over a horizon with
@@ -1907,8 +2041,8 @@ mod tests {
 
     /// Ping campaigns checkpoint through serialized sink state: a
     /// checkpointed run matches the in-memory one, and a run killed at any
-    /// pair boundary or mid-line resumes to a bit-identical file and
-    /// bit-identical timelines.
+    /// block boundary or inside any chunk resumes to a bit-identical file
+    /// and bit-identical timelines.
     #[test]
     fn ping_checkpoint_resumes_bit_identically() {
         let net = network(42);
@@ -1925,20 +2059,27 @@ mod tests {
         let (memory, memory_report) =
             Campaign::new(cfg.clone()).faults(profile).run_ping(&net, &pairs).unwrap();
 
-        let full_path = tmp_path("ping_ckpt_full.txt");
+        // The builder's one-block file holds what the 5-pair blocks hold.
+        let builder_path = tmp_path("ping_ckpt_builder.txt");
         let campaign = Campaign::new(cfg.clone()).faults(profile);
-        let (full, full_report) = campaign.checkpoint(&full_path).run_ping(&net, &pairs).unwrap();
-        let full_bytes = std::fs::read(&full_path).unwrap();
+        let (full, full_report) =
+            campaign.checkpoint(&builder_path).run_ping(&net, &pairs).unwrap();
         assert_eq!(timeline_bits(&full), timeline_bits(&memory));
         assert_eq!(full_report, memory_report);
+        let full_path = tmp_path("ping_ckpt_full.txt");
+        let (full, _) = run(&full_path);
+        let full_bytes = std::fs::read(&full_path).unwrap();
+        assert_eq!(timeline_bits(&full), timeline_bits(&memory));
+        assert_eq!(chunk_spans(&full_bytes).len(), 3, "one chunk per block");
+        assert_eq!(log_contents(&builder_path), log_contents(&full_path));
+        let _ = std::fs::remove_file(&builder_path);
 
         for (cut, complete) in kill_points(&full_bytes) {
             let path = tmp_path(&format!("ping_ckpt_cut_{cut}.txt"));
             std::fs::write(&path, &full_bytes[..cut]).unwrap();
             let (resumed, report) = run(&path);
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                full_bytes,
+            assert!(
+                std::fs::read(&path).unwrap() == full_bytes,
                 "kill at byte {cut}: resumed checkpoint must be bit-identical"
             );
             assert_eq!(timeline_bits(&resumed), timeline_bits(&memory));

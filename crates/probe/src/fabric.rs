@@ -2,10 +2,10 @@
 //!
 //! A coordinator splits a campaign's pair space into disjoint shards,
 //! launches worker processes (one shard per worker attempt), and merges
-//! the framed results deterministically. Workers speak a line-oriented
-//! protocol on stdout (`F|…` frames around opaque payload lines), so the
-//! payload can be anything the campaign produces — archived traceroute
-//! lines, serialized sink states — and the fabric never needs to parse it.
+//! the framed results deterministically. Workers speak a framed protocol
+//! on stdout (`F|…` lines, each `DATA` line followed by its raw bytes), so
+//! the payload — one binary snapshot of the shard ([`crate::snapshot`]) —
+//! is never parsed by the fabric.
 //!
 //! The robustness contract: workers heartbeat; the coordinator enforces a
 //! per-attempt event timeout, kills hung workers, and retries failed
@@ -29,16 +29,16 @@
 //! |---|---|
 //! | `F\|HELLO\|shard\|attempt` | worker is alive, before any real work |
 //! | `F\|HB\|shard\|done` | heartbeat; `done` is a progress hint |
-//! | `F\|DATA\|shard\|n` | the next `n` raw lines are payload |
+//! | `F\|DATA\|shard\|bytes` | exactly `bytes` raw payload bytes follow (≤ [`MAX_FRAME_BYTES`]) |
 //! | `F\|REPORT\|shard\|R\|…` | the shard's [`CampaignReport`] |
 //! | `F\|METRICS\|shard\|k=v,…` | worker counter snapshot |
 //! | `F\|END\|shard\|fnv64` | payload checksum; stream is complete |
 //!
 //! An attempt is accepted only if the stream carried `HELLO`, a `REPORT`,
-//! an `END` whose FNV-64 checksum matches the received payload, no
-//! unparseable protocol lines, and the process exited 0. Anything else —
-//! timeout, nonzero exit, checksum mismatch, truncated stream — fails the
-//! attempt and the shard goes back on the queue.
+//! an `END` whose FNV-64 checksum matches the received payload, no damage
+//! ([`read_events`]), and the process exited 0. Anything else — timeout,
+//! nonzero exit, checksum mismatch, damaged stream — fails the attempt
+//! and the shard goes back on the queue.
 
 use crate::campaign::CampaignReport;
 use crate::faults::{key, mix, uniform};
@@ -80,8 +80,8 @@ pub fn fnv64_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over payload lines, with a `\n` folded after each line so the
-/// checksum pins both content and line structure.
+/// FNV-1a over text lines (the dataset digest's form), with a `\n` folded
+/// after each line so the hash pins both content and line structure.
 pub fn fnv64_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
     let mut h: u64 = FNV64_OFFSET;
     for l in lines {
@@ -114,8 +114,8 @@ pub enum Frame {
     Hello { shard: usize, attempt: u32 },
     /// Heartbeat with a progress hint (units done, free-form).
     Heartbeat { shard: usize, done: u64 },
-    /// The next `n` lines on the stream are raw payload.
-    Data { shard: usize, n: usize },
+    /// The next `len` bytes on the stream are raw payload.
+    Data { shard: usize, len: usize },
     /// The shard's campaign report.
     Report { shard: usize, report: CampaignReport },
     /// Worker counter snapshot, `name=value` pairs.
@@ -130,7 +130,7 @@ impl Frame {
         match self {
             Frame::Hello { shard, attempt } => format!("F|HELLO|{shard}|{attempt}"),
             Frame::Heartbeat { shard, done } => format!("F|HB|{shard}|{done}"),
-            Frame::Data { shard, n } => format!("F|DATA|{shard}|{n}"),
+            Frame::Data { shard, len } => format!("F|DATA|{shard}|{len}"),
             Frame::Report { shard, report } => {
                 format!("F|REPORT|{shard}|{}", report.to_line())
             }
@@ -144,8 +144,8 @@ impl Frame {
     }
 
     /// Parses a frame line. `Ok(None)` means the line is not a frame at
-    /// all (payload or foreign noise); `Err` means it claimed to be a
-    /// frame (`F|` prefix) but is malformed — stream corruption.
+    /// all (foreign noise); `Err` means it claimed to be a frame (`F|`
+    /// prefix) but is malformed — stream corruption.
     pub fn parse(line: &str) -> Result<Option<Frame>, String> {
         let Some(rest) = line.strip_prefix("F|") else { return Ok(None) };
         let mut it = rest.splitn(3, '|');
@@ -173,10 +173,10 @@ impl Frame {
                 Ok(Some(Frame::Heartbeat { shard, done }))
             }
             "DATA" => {
-                let n = need(body, line)?
+                let len = need(body, line)?
                     .parse()
-                    .map_err(|_| format!("bad DATA count: '{line}'"))?;
-                Ok(Some(Frame::Data { shard, n }))
+                    .map_err(|_| format!("bad DATA length: '{line}'"))?;
+                Ok(Some(Frame::Data { shard, len }))
             }
             "REPORT" => {
                 let report = CampaignReport::from_line(need(body, line)?)?;
@@ -415,34 +415,33 @@ impl WorkerAssignment {
 /// Everything one shard attempt produced, ready to frame.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardPayload {
-    /// Opaque payload lines (archived records, sink states, …).
-    pub lines: Vec<String>,
+    /// The opaque payload (the shard's snapshot bytes).
+    pub bytes: Vec<u8>,
     /// The shard's campaign report.
     pub report: CampaignReport,
     /// Worker counter snapshot to aggregate coordinator-side.
     pub counters: Vec<(String, u64)>,
 }
 
-/// Payload lines per `DATA` frame; chunking keeps heartbeats flowing
-/// between batches on large shards.
-const DATA_CHUNK: usize = 512;
+/// The largest `DATA` frame the coordinator accepts, in bytes (1 MiB).
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Writes a complete result stream for one shard: chunked `DATA` frames
-/// with heartbeats between chunks, then `REPORT`, `METRICS`, and `END`.
-/// `corrupt_end` flips the checksum (the [`WorkerFault::CorruptFrame`]
-/// fate) so the coordinator must detect and discard the attempt.
+/// The longest protocol line the coordinator reads, in bytes (64 KiB).
+pub const MAX_LINE_BYTES: usize = 64 << 10;
+
+/// Writes a complete result stream for one shard: `DATA` frames of at most
+/// [`MAX_FRAME_BYTES`], then `REPORT`, `METRICS`, and `END`. `corrupt_end`
+/// flips the checksum (the [`WorkerFault::CorruptFrame`] fate) so the
+/// coordinator must detect and discard the attempt.
 pub fn emit_shard<W: Write>(
     w: &mut W,
     shard: usize,
     payload: &ShardPayload,
     corrupt_end: bool,
 ) -> io::Result<()> {
-    for chunk in payload.lines.chunks(DATA_CHUNK.max(1)) {
-        writeln!(w, "{}", Frame::Data { shard, n: chunk.len() }.to_line())?;
-        for line in chunk {
-            writeln!(w, "{line}")?;
-        }
-        writeln!(w, "{}", Frame::Heartbeat { shard, done: chunk.len() as u64 }.to_line())?;
+    for frame in payload.bytes.chunks(MAX_FRAME_BYTES) {
+        writeln!(w, "{}", Frame::Data { shard, len: frame.len() }.to_line())?;
+        w.write_all(frame)?;
     }
     writeln!(
         w,
@@ -456,7 +455,7 @@ pub fn emit_shard<W: Write>(
             Frame::Metrics { shard, counters: payload.counters.clone() }.to_line()
         )?;
     }
-    let mut checksum = fnv64_lines(&payload.lines);
+    let mut checksum = fnv64_bytes(FNV64_OFFSET, &payload.bytes);
     if corrupt_end {
         checksum ^= 0xDEAD;
     }
@@ -466,8 +465,8 @@ pub fn emit_shard<W: Write>(
 
 /// A background thread printing `F|HB` frames to stdout at a fixed
 /// interval while the worker computes (each `println!` takes the global
-/// stdout lock, so heartbeat lines never shear payload lines). Stops on
-/// drop or [`HeartbeatHandle::stop`].
+/// stdout lock; stop it before [`emit_shard`], whose `DATA` frames it
+/// would shear). Stops on drop or [`HeartbeatHandle::stop`].
 pub struct HeartbeatHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -516,14 +515,58 @@ impl Drop for HeartbeatHandle {
 // Coordinator side
 // ---------------------------------------------------------------------------
 
-/// An event from a launched worker: one stdout line, or process exit.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An event from a launched worker's stream, or its exit.
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkerEvent {
-    /// One line of worker stdout.
-    Line(String),
+    /// One protocol frame other than `DATA`.
+    Frame(Frame),
+    /// One `DATA` frame's payload bytes.
+    Data(Vec<u8>),
+    /// The stream broke the protocol; nothing after it is read.
+    Damaged(String),
     /// The worker exited with this status code (`None`: killed by
     /// signal). Always the channel's final event.
     Exit(Option<i32>),
+}
+
+/// Reads a worker's stream, handing each event to `emit` until the end,
+/// a false return, or [`WorkerEvent::Damaged`]: longer lines and frames
+/// than the caps are refused unread, and buffers grow as bytes arrive.
+pub fn read_events<R: BufRead>(
+    mut input: R,
+    mut emit: impl FnMut(WorkerEvent) -> bool,
+) -> io::Result<()> {
+    use crate::dataset::{read_capped_line, CappedLine};
+    let mut line = Vec::new();
+    while let Some(read) = read_capped_line(&mut input, &mut line, MAX_LINE_BYTES)? {
+        let frame = match read {
+            CappedLine::TooLong => Err(format!("protocol line over {MAX_LINE_BYTES} bytes")),
+            CappedLine::Line => std::str::from_utf8(&line)
+                .map_err(|e| format!("protocol line: {e}"))
+                .and_then(Frame::parse),
+        };
+        let event = match frame {
+            Ok(Some(Frame::Data { len, .. })) if len <= MAX_FRAME_BYTES => {
+                let mut bytes = Vec::new();
+                io::Read::read_to_end(&mut io::Read::take(&mut input, len as u64), &mut bytes)?;
+                match bytes.len() {
+                    got if got < len => WorkerEvent::Damaged(format!("DATA frame torn at {got}")),
+                    _ => WorkerEvent::Data(bytes),
+                }
+            }
+            Ok(Some(Frame::Data { len, .. })) => {
+                WorkerEvent::Damaged(format!("DATA frame of {len} bytes over the cap"))
+            }
+            Ok(Some(frame)) => WorkerEvent::Frame(frame),
+            Ok(None) => WorkerEvent::Damaged("non-frame line".into()),
+            Err(e) => WorkerEvent::Damaged(e),
+        };
+        let damaged = matches!(event, WorkerEvent::Damaged(_));
+        if !emit(event) || damaged {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// A running worker as the coordinator sees it: an ordered event stream
@@ -544,7 +587,7 @@ pub trait WorkerLauncher {
 }
 
 /// Launches real subprocesses: `program args…` with the fabric assignment
-/// in the environment and stdout piped back as the event stream.
+/// in the environment and stdout read back through [`read_events`].
 pub struct ProcessLauncher {
     /// Worker executable.
     pub program: std::path::PathBuf,
@@ -570,17 +613,10 @@ impl WorkerLauncher for ProcessLauncher {
         let (tx, rx) = mpsc::channel();
         let reaper = Arc::clone(&child);
         std::thread::spawn(move || {
-            let reader = io::BufReader::new(stdout);
-            for line in reader.lines() {
-                match line {
-                    Ok(l) => {
-                        if tx.send(WorkerEvent::Line(l)).is_err() {
-                            break; // coordinator moved on; just reap below
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
+            let mut reader = io::BufReader::new(stdout);
+            let _ = read_events(&mut reader, |event| tx.send(event).is_ok());
+            // Drain what follows damage, so the worker never blocks.
+            let _ = io::copy(&mut reader, &mut io::sink());
             let status = reaper.lock().expect("child lock").wait();
             let code = status.ok().and_then(|s| s.code());
             let _ = tx.send(WorkerEvent::Exit(code));
@@ -675,8 +711,7 @@ pub enum AttemptFailure {
     NonzeroExit,
     /// END checksum did not match the received payload.
     ChecksumMismatch,
-    /// Stream ended without HELLO/REPORT/END, or carried malformed
-    /// frames.
+    /// Stream ended without HELLO/REPORT/END, or was damaged.
     IncompleteStream,
 }
 
@@ -687,14 +722,22 @@ pub struct ShardResult {
     pub shard: usize,
     /// Attempts launched for this shard.
     pub attempts: u32,
-    /// Payload lines from the accepted attempt (empty when lost).
-    pub lines: Vec<String>,
+    /// The accepted attempt's `DATA` frame payloads (empty when lost).
+    pub lines: Vec<Vec<u8>>,
     /// Report from the accepted attempt.
     pub report: Option<CampaignReport>,
     /// Worker counter snapshot from the accepted attempt.
     pub counters: Vec<(String, u64)>,
     /// True when the retry budget ran out with no accepted attempt.
     pub lost: bool,
+}
+
+impl ShardResult {
+    /// The accepted payload: every frame's bytes, in order, as one stream.
+    pub fn payload(&self) -> impl io::Read + '_ {
+        let empty: Box<dyn io::Read + '_> = Box::new(io::empty());
+        self.lines.iter().fold(empty, |r, frame| Box::new(io::Read::chain(r, &frame[..])))
+    }
 }
 
 /// What the fabric did, for the observability plane and the bench.
@@ -744,6 +787,8 @@ impl FabricStats {
         ] {
             reg.counter(name).add(v as u64);
         }
+        let payload: usize = shards.iter().flat_map(|s| &s.lines).map(Vec::len).sum();
+        reg.counter("fabric.payload_bytes").add(payload as u64);
         reg.gauge("fabric.backoff_ms").set(self.backoff_ms as u64);
         reg.gauge("fabric.recovery_ms").set(self.recovery_ms as u64);
         reg.gauge("fabric.merge_ms").set(self.merge_ms as u64);
@@ -771,8 +816,8 @@ impl FabricStats {
 }
 
 /// The coordinator's output: per-shard results in shard order, plus
-/// stats. Merging payload is the caller's one-liner —
-/// [`FabricOutcome::merged_lines`] — because shard order is total.
+/// stats. The caller merges the payloads in shard order (a total order),
+/// reading each through [`ShardResult::payload`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FabricOutcome {
     /// One entry per shard, ordered by shard index.
@@ -782,13 +827,6 @@ pub struct FabricOutcome {
 }
 
 impl FabricOutcome {
-    /// All accepted payload lines, concatenated in shard order — the
-    /// deterministic merge (lost shards contribute nothing; the caller
-    /// synthesizes their slots).
-    pub fn merged_lines(&self) -> Vec<String> {
-        self.shards.iter().flat_map(|s| s.lines.iter().cloned()).collect()
-    }
-
     /// The merged campaign report across accepted shards.
     pub fn merged_report(&self) -> CampaignReport {
         let mut out = CampaignReport::default();
@@ -810,8 +848,7 @@ impl FabricOutcome {
 #[derive(Default)]
 struct AttemptState {
     hello: bool,
-    payload: Vec<String>,
-    pending_payload: usize,
+    payload: Vec<Vec<u8>>,
     report: Option<CampaignReport>,
     counters: Vec<(String, u64)>,
     end_checksum: Option<u64>,
@@ -822,24 +859,21 @@ struct AttemptState {
 }
 
 impl AttemptState {
-    fn feed_line(&mut self, line: &str) {
-        if self.pending_payload > 0 {
-            self.pending_payload -= 1;
-            self.payload.push(line.to_string());
-            return;
-        }
-        match Frame::parse(line) {
-            Ok(Some(Frame::Hello { .. })) => self.hello = true,
-            Ok(Some(Frame::Heartbeat { .. })) => {}
-            Ok(Some(Frame::Data { n, .. })) => self.pending_payload = n,
-            Ok(Some(Frame::Report { report, .. })) => self.report = Some(report),
-            Ok(Some(Frame::Metrics { counters, .. })) => {
+    fn feed(&mut self, event: WorkerEvent) {
+        match event {
+            WorkerEvent::Frame(Frame::Hello { .. }) => self.hello = true,
+            WorkerEvent::Frame(Frame::Heartbeat { .. }) => {}
+            WorkerEvent::Frame(Frame::Report { report, .. }) => self.report = Some(report),
+            WorkerEvent::Frame(Frame::Metrics { counters, .. }) => {
                 self.counters.extend(counters);
             }
-            Ok(Some(Frame::End { checksum, .. })) => self.end_checksum = Some(checksum),
-            // Non-frame noise outside a DATA region, or a malformed
-            // frame: either way the stream is damaged.
-            Ok(None) | Err(_) => self.protocol_errors += 1,
+            WorkerEvent::Frame(Frame::End { checksum, .. }) => self.end_checksum = Some(checksum),
+            WorkerEvent::Data(bytes) => self.payload.push(bytes),
+            WorkerEvent::Exit(code) => self.exit = Some(code),
+            // Damage, or a bare DATA line (`read_events` sends none).
+            WorkerEvent::Damaged(_) | WorkerEvent::Frame(Frame::Data { .. }) => {
+                self.protocol_errors += 1
+            }
         }
     }
 
@@ -853,18 +887,13 @@ impl AttemptState {
             Some(_) => return Err(AttemptFailure::NonzeroExit),
             None => return Err(AttemptFailure::IncompleteStream),
         }
-        if !self.hello
-            || self.report.is_none()
-            || self.pending_payload > 0
-            || self.protocol_errors > 0
-        {
+        if !self.hello || self.report.is_none() || self.protocol_errors > 0 {
             return Err(AttemptFailure::IncompleteStream);
         }
+        let checksum = self.payload.iter().fold(FNV64_OFFSET, |h, f| fnv64_bytes(h, f));
         match self.end_checksum {
             None => Err(AttemptFailure::IncompleteStream),
-            Some(c) if c != fnv64_lines(&self.payload) => {
-                Err(AttemptFailure::ChecksumMismatch)
-            }
+            Some(c) if c != checksum => Err(AttemptFailure::ChecksumMismatch),
             Some(_) => Ok(()),
         }
     }
@@ -947,17 +976,15 @@ impl<L: WorkerLauncher> Coordinator<L> {
             for (i, f) in in_flight.iter_mut().enumerate() {
                 loop {
                     match f.worker.events.try_recv() {
-                        Ok(WorkerEvent::Line(l)) => {
-                            f.state.feed_line(&l);
+                        Ok(event) => {
+                            let exit = matches!(event, WorkerEvent::Exit(_));
+                            f.state.feed(event);
                             f.last_event = Instant::now();
                             progressed = true;
-                        }
-                        Ok(WorkerEvent::Exit(code)) => {
-                            f.state.exit = Some(code);
-                            f.last_event = Instant::now();
-                            progressed = true;
-                            finished.push(i);
-                            break;
+                            if exit {
+                                finished.push(i);
+                                break;
+                            }
                         }
                         Err(mpsc::TryRecvError::Empty) => break,
                         Err(mpsc::TryRecvError::Disconnected) => {
@@ -1061,9 +1088,14 @@ impl<L: WorkerLauncher> Coordinator<L> {
 mod tests {
     use super::*;
 
+    /// `n` bytes of shard `shard`'s payload.
+    fn payload_bytes(shard: usize, n: usize) -> Vec<u8> {
+        (0..n).map(|i| (shard * 31 + i) as u8).collect()
+    }
+
     fn payload(shard: usize, n: usize) -> ShardPayload {
         ShardPayload {
-            lines: (0..n).map(|i| format!("T|{shard}|{i}|payload")).collect(),
+            bytes: payload_bytes(shard, n),
             report: CampaignReport {
                 offered: n,
                 attempted: n,
@@ -1074,17 +1106,23 @@ mod tests {
         }
     }
 
-    /// A launcher that plays scripted worker behaviors in-process.
+    /// A launcher that plays scripted worker behaviors in-process; the
+    /// frames it emits reach the coordinator through [`read_events`].
     struct Scripted {
         faults: FabricFaultProfile,
-        lines_per_shard: usize,
+        bytes_per_shard: usize,
+    }
+
+    /// Sends `stream` through [`read_events`], as the process launcher does.
+    fn send_stream(tx: &mpsc::Sender<WorkerEvent>, stream: &[u8]) {
+        read_events(stream, |e| tx.send(e).is_ok()).unwrap();
     }
 
     impl WorkerLauncher for Scripted {
         fn launch(&self, shard: usize, attempt: u32) -> io::Result<LaunchedWorker> {
             let (tx, rx) = mpsc::channel();
-            let fault = self.faults.decide(shard, attempt, self.lines_per_shard);
-            let n = self.lines_per_shard;
+            let fault = self.faults.decide(shard, attempt, self.bytes_per_shard);
+            let n = self.bytes_per_shard;
             let killed = Arc::new(AtomicBool::new(false));
             let kflag = Arc::clone(&killed);
             std::thread::spawn(move || {
@@ -1092,12 +1130,10 @@ mod tests {
                     let mut buf = Vec::new();
                     let p = payload(shard, n);
                     emit_shard(&mut buf, shard, &p, corrupt).unwrap();
-                    for l in String::from_utf8(buf).unwrap().lines() {
-                        let _ = tx.send(WorkerEvent::Line(l.to_string()));
-                    }
+                    send_stream(tx, &buf);
                 };
                 let hello = Frame::Hello { shard, attempt }.to_line();
-                let _ = tx.send(WorkerEvent::Line(hello));
+                send_stream(&tx, format!("{hello}\n").as_bytes());
                 match fault {
                     WorkerFault::None => {
                         send_frames(&tx, false);
@@ -1145,7 +1181,7 @@ mod tests {
         shards: usize,
         faults: FabricFaultProfile,
     ) -> FabricOutcome {
-        let launcher = Scripted { faults, lines_per_shard: 5 };
+        let launcher = Scripted { faults, bytes_per_shard: 5 };
         Coordinator::new(fast_cfg(workers), launcher).run(shards).unwrap()
     }
 
@@ -1154,7 +1190,7 @@ mod tests {
         let frames = vec![
             Frame::Hello { shard: 3, attempt: 2 },
             Frame::Heartbeat { shard: 3, done: 17 },
-            Frame::Data { shard: 3, n: 4 },
+            Frame::Data { shard: 3, len: 4 },
             Frame::Report { shard: 3, report: CampaignReport::default() },
             Frame::Metrics {
                 shard: 3,
@@ -1192,14 +1228,110 @@ mod tests {
         assert_eq!(out.stats.lost, 0);
         assert_eq!(out.stats.retries, 0);
         assert_eq!(out.stats.launches, 4);
-        let merged = out.merged_lines();
-        assert_eq!(merged.len(), 20);
         // Shard order regardless of completion order.
-        let expect: Vec<String> = (0..4)
-            .flat_map(|s| (0..5).map(move |i| format!("T|{s}|{i}|payload")))
-            .collect();
-        assert_eq!(merged, expect);
+        for (s, shard) in out.shards.iter().enumerate() {
+            assert_eq!(shard.shard, s);
+            let mut got = Vec::new();
+            io::Read::read_to_end(&mut shard.payload(), &mut got).unwrap();
+            assert_eq!(got, payload_bytes(s, 5));
+        }
+        assert_eq!(merged_len(&out), 20);
         assert_eq!(out.merged_report().delivered, 20);
+    }
+
+    fn merged_len(out: &FabricOutcome) -> usize {
+        out.shards.iter().flat_map(|s| &s.lines).map(Vec::len).sum()
+    }
+
+    /// A payload over one frame travels as several `DATA` frames that read
+    /// back as the one stream, checksum and all.
+    #[test]
+    fn payload_spans_frames_and_reads_back_whole() {
+        let bytes: Vec<u8> = (0..MAX_FRAME_BYTES * 2 + 77).map(|i| (i % 251) as u8).collect();
+        let p = ShardPayload { bytes: bytes.clone(), ..ShardPayload::default() };
+        let mut stream = Vec::new();
+        emit_shard(&mut stream, 0, &p, false).unwrap();
+        let mut state = AttemptState::default();
+        state.feed(WorkerEvent::Frame(Frame::Hello { shard: 0, attempt: 1 }));
+        read_events(&stream[..], |e| {
+            state.feed(e);
+            true
+        })
+        .unwrap();
+        state.feed(WorkerEvent::Exit(Some(0)));
+        assert_eq!(state.verdict(), Ok(()));
+        let frame_lens: Vec<usize> = state.payload.iter().map(Vec::len).collect();
+        assert_eq!(frame_lens, [MAX_FRAME_BYTES, MAX_FRAME_BYTES, 77]);
+        let result = ShardResult { lines: state.payload, ..ShardResult::default() };
+        let mut got = Vec::new();
+        io::Read::read_to_end(&mut result.payload(), &mut got).unwrap();
+        assert!(got == bytes);
+    }
+
+    /// Hostile streams are refused: a 4 MiB line with no newline, a frame
+    /// declaring 2^40 bytes, a frame cut short, and a stray non-frame line
+    /// each end the stream as damage, and the attempt fails as an
+    /// incomplete stream and is retried. (The memory bound is pinned with
+    /// a counting allocator in `tests/tests/fabric_reader_bounds.rs`.)
+    #[test]
+    fn hostile_streams_are_refused_with_bounded_memory() {
+        let hello = b"F|HELLO|0|1\n".to_vec();
+        let endless = std::iter::repeat_n(b'x', 4 << 20);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("4 MiB line", hello.iter().copied().chain(endless).collect()),
+            ("2^40-byte frame", [&hello[..], b"F|DATA|0|1099511627776\nxyz"].concat()),
+            ("torn frame", [&hello[..], b"F|DATA|0|1048576\nonly this"].concat()),
+            ("stray line", [&hello[..], b"T|0|1|not a frame\n"].concat()),
+        ];
+        for (what, stream) in cases {
+            let mut events = Vec::new();
+            read_events(&stream[..], |e| {
+                events.push(e);
+                true
+            })
+            .unwrap();
+            assert_eq!(events[0], WorkerEvent::Frame(Frame::Hello { shard: 0, attempt: 1 }));
+            assert!(
+                matches!(events.last(), Some(WorkerEvent::Damaged(_))),
+                "{what}: {:?}",
+                events.last()
+            );
+            assert_eq!(events.len(), 2, "{what}: nothing is read past damage");
+            let mut state = AttemptState::default();
+            events.into_iter().for_each(|e| state.feed(e));
+            state.feed(WorkerEvent::Frame(Frame::Report {
+                shard: 0,
+                report: CampaignReport::default(),
+            }));
+            state.feed(WorkerEvent::Frame(Frame::End { shard: 0, checksum: FNV64_OFFSET }));
+            state.feed(WorkerEvent::Exit(Some(0)));
+            assert_eq!(state.verdict(), Err(AttemptFailure::IncompleteStream), "{what}");
+        }
+
+        // Through the coordinator: the damaged first attempt fails as an
+        // incomplete stream and the retry delivers.
+        struct Hostile;
+        impl WorkerLauncher for Hostile {
+            fn launch(&self, shard: usize, attempt: u32) -> io::Result<LaunchedWorker> {
+                let (tx, rx) = mpsc::channel();
+                let mut stream = format!("{}\n", Frame::Hello { shard, attempt }.to_line());
+                if attempt == 1 {
+                    stream += &format!("F|DATA|{shard}|{}\n", MAX_FRAME_BYTES + 1);
+                } else {
+                    let mut buf = Vec::new();
+                    emit_shard(&mut buf, shard, &payload(shard, 5), false).unwrap();
+                    stream += std::str::from_utf8(&buf).unwrap();
+                }
+                send_stream(&tx, stream.as_bytes());
+                let _ = tx.send(WorkerEvent::Exit(Some(0)));
+                Ok(LaunchedWorker { events: rx, kill: Box::new(|| {}) })
+            }
+        }
+        let out = Coordinator::new(fast_cfg(1), Hostile).run(2).unwrap();
+        assert_eq!(out.stats.incomplete_streams, 2);
+        assert_eq!(out.stats.recoveries, 2);
+        assert_eq!(out.stats.lost, 0);
+        assert_eq!(merged_len(&out), 10);
     }
 
     #[test]
@@ -1214,7 +1346,7 @@ mod tests {
         assert_eq!(out.stats.recoveries, 1);
         assert_eq!(out.stats.nonzero_exits, 1);
         assert_eq!(out.shards[1].attempts, 2);
-        assert_eq!(out.merged_lines().len(), 15);
+        assert_eq!(merged_len(&out), 15);
         assert!(out.stats.recovery_ms >= 0.0);
     }
 
@@ -1227,7 +1359,7 @@ mod tests {
         let out = run_scripted(1, 2, faults);
         assert_eq!(out.stats.corrupt_frames, 1);
         assert_eq!(out.stats.lost, 0);
-        assert_eq!(out.merged_lines().len(), 10, "retry must replace corrupt data");
+        assert_eq!(merged_len(&out), 10, "retry must replace corrupt data");
     }
 
     #[test]
@@ -1240,7 +1372,7 @@ mod tests {
         assert_eq!(out.stats.timeouts, 1);
         assert_eq!(out.stats.lost, 0);
         assert_eq!(out.shards[0].attempts, 2);
-        assert_eq!(out.merged_lines().len(), 10);
+        assert_eq!(merged_len(&out), 10);
     }
 
     #[test]
@@ -1255,7 +1387,7 @@ mod tests {
         assert!(out.shards[0].lost);
         assert_eq!(out.shards[0].attempts, 3);
         // The healthy shard still delivers.
-        assert_eq!(out.merged_lines().len(), 5);
+        assert_eq!(merged_len(&out), 5);
         assert_eq!(out.merged_report().delivered, 5);
     }
 
@@ -1320,6 +1452,7 @@ mod tests {
             assert!(snap.counters.contains_key(k), "missing {k}");
         }
         assert_eq!(snap.counters["fabric.shards"], 3);
+        assert_eq!(snap.counters["fabric.payload_bytes"], 15);
         // Worker counters aggregate under the worker. prefix.
         assert_eq!(snap.counters["worker.campaign.offered"], 15);
     }

@@ -8,7 +8,7 @@
 //! persists the store's *arenas*: the interned address table and the
 //! hash-consed sequence arena are written once per **distinct** value, and
 //! the per-trace columns are written as raw little-endian arrays that load
-//! back with bulk copies — so [`read`] runs in O(distinct-data + column
+//! back with bulk copies — so an open runs in O(distinct-data + column
 //! bytes), not O(lines × fields), and the reopened store is byte-identical
 //! to the one that was saved ([`TraceStore::to_records`] agrees exactly,
 //! proptest-pinned).
@@ -77,16 +77,15 @@
 //! segments into a reused buffer until the trace budget fills, so resident
 //! bytes stay O(arena + one batch) no matter how many traces the file
 //! holds. [`SnapshotReader::into_snapshot`] drains the stream into a
-//! materialized [`Snapshot`] — what [`open_file`]/[`open_file_lossy`]
-//! (thin shims over the builder) return. [`absorb_files`] streams N
-//! per-shard files into one store while holding at most one shard's arena
-//! plus one batch; [`SnapshotOptions::open_dir`] wraps a directory of
+//! materialized [`Snapshot`] — what [`open_file`] (a thin shim over the
+//! builder) returns. [`absorb_files`] streams N per-shard files into one
+//! store while holding at most one shard's arena plus one batch; [`SnapshotOptions::open_dir`] wraps a directory of
 //! `shard-<k>.snap` files as a [`ShardDir`] analysis source.
 //!
 //! ## Corruption policy
 //!
-//! [`read`] is strict: the first bad byte is an error. [`read_lossy`]
-//! mirrors [`crate::dataset::read_traceroutes_lossy`]: damage degrades to
+//! A strict open errors on the first bad byte. A lossy one mirrors
+//! [`crate::dataset::read_traceroutes_lossy`]: damage degrades to
 //! *counted* skips, never a panic and never silent acceptance. A corrupt
 //! `BLOCK` skips exactly `count` traces; a corrupt `SINK` segment skips
 //! its `count` states; a corrupt `ADDR`/`SEQ` segment poisons every
@@ -328,10 +327,9 @@ fn pack_bits(buf: &mut Vec<u8>, n: usize, bit: impl Fn(usize) -> bool) {
     }
 }
 
-/// Unpacks `n` LSB-first bits from a cursor.
-fn unpack_bits(c: &mut Cursor<'_>, n: usize) -> Result<Vec<bool>, String> {
-    let bytes = c.take(n.div_ceil(8))?;
-    Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+/// The packed bytes of an `n`-bit set ([`pack_bits`]'s output).
+fn packed_bits<'a>(c: &mut Cursor<'a>, n: usize) -> Result<&'a [u8], String> {
+    c.take(n.div_ceil(8))
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +553,15 @@ pub fn write_file(path: &Path, store: &TraceStore, sinks: &[String]) -> io::Resu
     replace_file(path, |w| write(w, store, sinks, crate::env::snapshot_block()))
 }
 
+/// Writes an already-encoded snapshot, given as consecutive byte chunks,
+/// to a file path, written and renamed into place as [`write_file`] does.
+pub fn write_file_bytes(path: &Path, chunks: &[Vec<u8>]) -> io::Result<u64> {
+    replace_file(path, |w| {
+        chunks.iter().try_for_each(|chunk| w.write_all(chunk))?;
+        Ok(chunks.iter().map(|chunk| chunk.len() as u64).sum())
+    })
+}
+
 /// [`write_parts`] to a file path, written and renamed into place as
 /// [`write_file`] does.
 pub fn write_file_parts(path: &Path, parts: &Parts<'_>, sinks: &[String]) -> io::Result<u64> {
@@ -716,16 +723,16 @@ fn decode_block(store: &mut TraceStore, payload: &[u8], count: u64) -> Result<()
     let src_addrs = c.u32s(n)?;
     let dst_addrs = c.u32s(n)?;
     let e2e = c.f64s(n)?;
-    let e2e_some = unpack_bits(&mut c, n)?;
-    let reached = unpack_bits(&mut c, n)?;
-    let proto_v6 = unpack_bits(&mut c, n)?;
+    let e2e_some = packed_bits(&mut c, n)?;
+    let reached = packed_bits(&mut c, n)?;
+    let proto_v6 = packed_bits(&mut c, n)?;
     let hop_counts = c.u32s(n)?;
     let n_hops = c.u64()? as usize;
     if hop_counts.iter().map(|&h| h as usize).sum::<usize>() != n_hops {
         return Err("hop counts disagree with the block's hop total".into());
     }
     let rtts = c.f64s(n_hops)?;
-    let rtt_some = unpack_bits(&mut c, n_hops)?;
+    let rtt_some = packed_bits(&mut c, n_hops)?;
     if !c.done() {
         return Err("trailing bytes after trace block".into());
     }
@@ -748,20 +755,16 @@ fn decode_block(store: &mut TraceStore, payload: &[u8], count: u64) -> Result<()
     store.src_addrs.extend_from_slice(&src_addrs);
     store.dst_addrs.extend_from_slice(&dst_addrs);
     store.e2e.extend_from_slice(&e2e);
-    for i in 0..n {
-        store.e2e_some.push(e2e_some[i]);
-        store.reached.push(reached[i]);
-        store.proto_v6.push(proto_v6[i]);
-    }
+    store.e2e_some.extend_packed(e2e_some, n);
+    store.reached.extend_packed(reached, n);
+    store.proto_v6.extend_packed(proto_v6, n);
     let mut off = *store.rtt_offsets.last().unwrap();
     for &h in &hop_counts {
         off += h;
         store.rtt_offsets.push(off);
     }
     store.rtts.extend_from_slice(&rtts);
-    for &b in rtt_some.iter().take(n_hops) {
-        store.rtt_some.push(b);
-    }
+    store.rtt_some.extend_packed(rtt_some, n_hops);
     Ok(())
 }
 
@@ -1270,8 +1273,8 @@ impl<R: Read> SnapshotReader<R> {
 
     /// Drains the remaining stream into a materialized [`Snapshot`] — the
     /// legacy whole-file open. On a fresh reader this is exactly what
-    /// [`open_file`]/[`open_file_lossy`] return; intern indices are
-    /// rebuilt, so the store keeps absorbing new records.
+    /// [`open_file`] returns; intern indices are rebuilt, so the store
+    /// keeps absorbing new records.
     pub fn into_snapshot(mut self) -> io::Result<(Snapshot, SnapshotReport)> {
         while !self.done {
             self.step()?;
@@ -1279,6 +1282,21 @@ impl<R: Read> SnapshotReader<R> {
         self.check_strict()?;
         self.buf.rebuild_indices();
         Ok((Snapshot { store: self.buf, sinks: self.sinks }, self.report))
+    }
+
+    /// Streams the rest of the snapshot into `store`: the arenas interned
+    /// once (`TraceStore::absorb_maps`, id order), then each batch's rows
+    /// appended (`TraceStore::absorb_rows`) — byte-identical to reopening
+    /// the snapshot fully and absorbing it. Returns the report and sinks.
+    pub fn absorb_into(
+        mut self,
+        store: &mut TraceStore,
+    ) -> io::Result<(SnapshotReport, Vec<String>)> {
+        let (addr_map, seq_map) = store.absorb_maps(self.arena());
+        while let Some(batch) = self.next_batch()? {
+            store.absorb_rows(batch, 0..batch.len(), &addr_map, &seq_map);
+        }
+        Ok((self.report, self.sinks))
     }
 
     /// The arenas (plus the current batch): what annotation tables build
@@ -1395,13 +1413,9 @@ impl<R: Read> LogReader<R> {
     }
 }
 
-/// Streams N per-shard snapshot files into `store`, holding at most one
-/// shard's arena plus one batch in memory. Per shard: the arenas are
-/// interned into `store` once (`TraceStore::absorb_maps` — id order,
-/// exactly as a full-reopen `absorb` would), then every batch's rows are
-/// appended through `TraceStore::absorb_rows`. The merged store is
-/// byte-identical to reopening each shard fully and absorbing it, in the
-/// same shard order. Returns the merged [`SnapshotReport`] and the
+/// Streams N per-shard snapshot files into `store` in order, each through
+/// [`SnapshotReader::absorb_into`], holding at most one shard's arena plus
+/// one batch in memory. Returns the merged [`SnapshotReport`] and the
 /// concatenated sink states (shard order preserved).
 pub fn absorb_files<P: AsRef<Path>>(
     store: &mut TraceStore,
@@ -1411,40 +1425,16 @@ pub fn absorb_files<P: AsRef<Path>>(
     let mut merged = SnapshotReport::default();
     let mut sinks = Vec::new();
     for p in paths {
-        let mut reader = options.open(p.as_ref())?;
-        let (addr_map, seq_map) = store.absorb_maps(reader.arena());
-        while let Some(batch) = reader.next_batch()? {
-            store.absorb_rows(batch, 0..batch.len(), &addr_map, &seq_map);
-        }
-        merged.merge(reader.report());
-        sinks.append(&mut reader.take_sinks());
+        let (report, mut shard_sinks) = options.open(p.as_ref())?.absorb_into(store)?;
+        merged.merge(&report);
+        sinks.append(&mut shard_sinks);
     }
     Ok((merged, sinks))
-}
-
-/// Opens a snapshot from a reader, tolerating damage: torn or corrupt
-/// segments degrade to counted skips in the [`SnapshotReport`]. Thin shim
-/// over [`Snapshot::options`].
-pub fn read_lossy<R: Read>(r: &mut R) -> io::Result<(Snapshot, SnapshotReport)> {
-    Snapshot::options().lossy(true).open_reader(r)?.into_snapshot()
-}
-
-/// Opens a snapshot strictly: any damage — torn write, failed checksum,
-/// invalid id — is an `InvalidData` error. The inverse of [`write()`].
-/// Thin shim over [`Snapshot::options`].
-pub fn read<R: Read>(r: &mut R) -> io::Result<Snapshot> {
-    Ok(Snapshot::options().open_reader(r)?.into_snapshot()?.0)
 }
 
 /// Strictly opens a snapshot file. Shim over [`Snapshot::options`].
 pub fn open_file(path: &Path) -> io::Result<Snapshot> {
     Ok(Snapshot::options().open(path)?.into_snapshot()?.0)
-}
-
-/// Lossily opens a snapshot file (damage degrades to counted skips).
-/// Shim over [`Snapshot::options`].
-pub fn open_file_lossy(path: &Path) -> io::Result<(Snapshot, SnapshotReport)> {
-    Snapshot::options().lossy(true).open(path)?.into_snapshot()
 }
 
 #[cfg(test)]
@@ -1454,6 +1444,16 @@ mod tests {
     use proptest::prelude::*;
     use s2s_types::Protocol;
     use std::net::{Ipv4Addr, Ipv6Addr};
+
+    /// A strict in-memory open: any damage is an `InvalidData` error.
+    fn read<R: Read>(r: &mut R) -> io::Result<Snapshot> {
+        Ok(Snapshot::options().open_reader(r)?.into_snapshot()?.0)
+    }
+
+    /// A lossy in-memory open: damage degrades to counted skips.
+    fn read_lossy<R: Read>(r: &mut R) -> io::Result<(Snapshot, SnapshotReport)> {
+        Snapshot::options().lossy(true).open_reader(r)?.into_snapshot()
+    }
 
     fn rec(src: u32, t: u32, hops: &[(Option<&str>, Option<f64>)], reached: bool) -> TracerouteRecord {
         TracerouteRecord {

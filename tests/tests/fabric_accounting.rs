@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use s2s_probe::fabric::{
-    emit_shard, shard_range, Frame, LaunchedWorker, WorkerEvent, WorkerLauncher,
+    emit_shard, read_events, shard_range, Frame, LaunchedWorker, WorkerEvent, WorkerLauncher,
 };
 use s2s_probe::{
     CampaignReport, Coordinator, FabricConfig, FabricFaultProfile, ShardPayload,
@@ -58,7 +58,8 @@ fn shard_report(shard: usize, seed: u64) -> CampaignReport {
 }
 
 /// In-process workers that obey a [`FabricFaultProfile`] fate per attempt
-/// and emit real frames for accepted attempts.
+/// and emit real frames for accepted attempts, read back through the
+/// coordinator's stream reader.
 struct Scripted {
     faults: FabricFaultProfile,
     report_seed: u64,
@@ -72,15 +73,12 @@ impl WorkerLauncher for Scripted {
         let killed = Arc::new(AtomicBool::new(false));
         let kflag = Arc::clone(&killed);
         std::thread::spawn(move || {
-            let _ = tx.send(WorkerEvent::Line(
-                Frame::Hello { shard, attempt }.to_line(),
-            ));
+            let hello = format!("{}\n", Frame::Hello { shard, attempt }.to_line());
+            let _ = read_events(hello.as_bytes(), |e| tx.send(e).is_ok());
             match fault {
                 WorkerFault::None | WorkerFault::CorruptFrame => {
                     let payload = ShardPayload {
-                        lines: (0..report.delivered)
-                            .map(|i| format!("rec|{shard}|{i}"))
-                            .collect(),
+                        bytes: (0..report.delivered).map(|i| (shard + i) as u8).collect(),
                         report,
                         counters: vec![("campaign.runs".into(), 1)],
                     };
@@ -92,9 +90,7 @@ impl WorkerLauncher for Scripted {
                         fault == WorkerFault::CorruptFrame,
                     )
                     .unwrap();
-                    for l in String::from_utf8(buf).unwrap().lines() {
-                        let _ = tx.send(WorkerEvent::Line(l.to_string()));
-                    }
+                    let _ = read_events(&buf[..], |e| tx.send(e).is_ok());
                     let _ = tx.send(WorkerEvent::Exit(Some(0)));
                 }
                 WorkerFault::ExitNonzero => {
@@ -167,8 +163,8 @@ proptest! {
             s.timeouts + s.corrupt_frames + s.nonzero_exits + s.incomplete_streams;
         prop_assert_eq!(failures, s.retries + s.lost, "every failure retries or loses");
 
-        // Per-shard: accepted shards carry exactly their report's
-        // delivered lines; lost shards carry nothing.
+        // Per-shard: accepted shards carry exactly their payload (one byte
+        // per delivered slot); lost shards carry nothing.
         for r in &out.shards {
             if r.lost {
                 prop_assert!(r.lines.is_empty());
@@ -176,7 +172,7 @@ proptest! {
                 prop_assert_eq!(r.attempts, max_attempts);
             } else {
                 let rep = r.report.as_ref().expect("accepted shard has a report");
-                prop_assert_eq!(r.lines.len(), rep.delivered);
+                prop_assert_eq!(r.lines.iter().map(Vec::len).sum::<usize>(), rep.delivered);
             }
         }
 
