@@ -168,6 +168,7 @@ awk -v slots="$slots" 'index($0, "ok {\"cmd\":\"stats\"") == 1 {
 grep -q '"cmd":"metrics"' reproduce_serve1.txt
 grep -q '"service.measure": {' metrics_service.json
 grep -q '"service.apply": {' metrics_service.json
+grep -q '"service.annotate": {' metrics_service.json
 grep -q '"service.checkpoint": {' metrics_service.json
 grep -q '"query.wait_ms": {' metrics_service.json
 rm -f smoke_service.snap

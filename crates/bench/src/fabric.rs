@@ -420,6 +420,10 @@ pub fn worker_launcher(
 /// [`s2s_probe::snapshot::absorb_files`]**, is what gets absorbed — so a
 /// fabric run exercises, and its digest certifies, the out-of-core
 /// persistence round trip without ever rematerializing a shard.
+///
+/// `cfg`'s payload ceiling is replaced by one derived from the largest
+/// shard's campaign slots ([`FabricConfig::with_shard_slots`]), here and
+/// in [`collect_ping_fabric`].
 pub fn collect_longterm_fabric<L: WorkerLauncher>(
     scenario: &Scenario,
     cfg: FabricConfig,
@@ -428,6 +432,7 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
     let n_shards = cfg.workers;
     let pairs = longterm_pairs(scenario);
     let camp_cfg = CampaignConfig::long_term(scenario.scale.days);
+    let cfg = cfg.with_shard_slots(max_shard_slots(pairs.len(), n_shards, &camp_cfg));
     let mut outcome = Coordinator::new(cfg, launcher).run(n_shards)?;
 
     let snap_dir = s2s_probe::env::snapshot_dir();
@@ -496,8 +501,21 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
 
 /// The accounting of a lost shard of `pairs` pairs: every slot lost.
 fn lost_report(pairs: usize, cfg: &CampaignConfig) -> CampaignReport {
-    let slots = pairs * cfg.protocols.len() * cfg.n_samples();
+    let slots = slots_of(pairs, cfg);
     CampaignReport { offered: slots, lost_slots: slots, ..CampaignReport::default() }
+}
+
+/// The campaign slots of `pairs` pairs under `cfg`.
+fn slots_of(pairs: usize, cfg: &CampaignConfig) -> usize {
+    pairs * cfg.protocols.len() * cfg.n_samples()
+}
+
+/// The campaign slots of the largest of `n_shards` shards of `pairs`
+/// pairs: what sizes the coordinator's payload ceiling
+/// ([`FabricConfig::with_shard_slots`]).
+fn max_shard_slots(pairs: usize, n_shards: usize, cfg: &CampaignConfig) -> usize {
+    let largest = (0..n_shards).map(|k| shard_range(pairs, n_shards, k).len()).max();
+    slots_of(largest.unwrap_or(0), cfg)
 }
 
 /// One-process long-term collection plus the dataset digest — the
@@ -530,6 +548,7 @@ pub fn collect_ping_fabric<L: WorkerLauncher>(
 ) -> io::Result<(Vec<String>, CampaignReport, FabricOutcome)> {
     let n_shards = cfg.workers;
     let (camp_cfg, pairs) = ping_mesh(scenario);
+    let cfg = cfg.with_shard_slots(max_shard_slots(pairs.len(), n_shards, &camp_cfg));
     let outcome = Coordinator::new(cfg, launcher).run(n_shards)?;
     let mut report = CampaignReport::default();
     let mut states = Vec::new();

@@ -5,9 +5,11 @@
 //! every (pair, protocol) slot through the probe plane's per-epoch core
 //! (fault decisions keyed on the global sample index, so the stream is
 //! byte-identical to a batch run), appends the records to live per-slot
-//! [`TraceStore`]s and [`PairProfile`]s, and folds the epoch delta into an
-//! [`Analysis`]`<`[`IncrementalState`]`>` — so the §4 analyses are already
-//! computed when a query arrives, in O(pair state), never O(corpus).
+//! [`TraceStore`]s and [`PairProfile`]s, annotates each new row through
+//! its slot store's own [`StoreAnnotator`], and folds the annotated epoch
+//! into an [`Analysis`]`<`[`IncrementalState`]`>` — so the §4 analyses are
+//! already computed when a query arrives, in O(pair state), never
+//! O(corpus).
 //!
 //! Periodically (and on graceful shutdown) the service checkpoints through
 //! the snapshot plane into an append-only log ([`Service::checkpoint`]):
@@ -27,9 +29,10 @@
 //! [`MAX_QUERY_LINE`] bytes each) and are answered as single
 //! `ok {json}` / `err reason` lines — see [`Service::answer`] for the
 //! command set. [`serve`] answers them on their own thread while the
-//! daemon measures: an epoch is measured without the query lock and
-//! applied under it, and checkpoints never take it, so an answer waits at
-//! most for one epoch's apply, never for a measurement or a checkpoint.
+//! daemon measures: an epoch is measured and annotated without the query
+//! lock, and only its fold runs under it; checkpoints never take it. So
+//! an answer waits at most for one epoch's fold, never for a measurement,
+//! an annotation or a checkpoint.
 //!
 //! Knobs (registered in `s2s_probe::env::KNOWN_KNOBS`, resolved here
 //! because their defaults are service policy): `S2S_SERVICE_CADENCE_MS`
@@ -40,7 +43,7 @@
 use crate::fabric::{self, store_digest};
 use crate::scenario::Scenario;
 use s2s_core::congestion::{detect_profile, DetectParams};
-use s2s_core::{Analysis, IncrementalState};
+use s2s_core::{Analysis, AnnotatedTrace, IncrementalState, StoreAnnotator};
 use s2s_probe::env::ResolvedKnob;
 use s2s_probe::fabric::FNV64_OFFSET;
 use s2s_probe::dataset::{read_capped_line, CappedLine};
@@ -154,12 +157,13 @@ impl ServiceConfig {
 /// ([`serve`]) wires these to a stdin/stdout line protocol.
 ///
 /// The state is split in two. The daemon's side — the campaign, the slot
-/// stores, the report and the checkpoint log — is only touched by the
-/// thread that measures. What a query reads — the profiles, the
-/// incremental analysis, the epoch count and the query count — sits behind
-/// one lock, which the daemon takes only while it applies a measured
-/// epoch, so [`serve`] answers queries on their own thread while the next
-/// epoch is measured or a checkpoint is written.
+/// stores and their annotators, the report and the checkpoint log — is
+/// only touched by the thread that measures. What a query reads — the
+/// profiles, the incremental analysis, the epoch count and the query
+/// count — sits behind one lock, which the daemon takes only while it
+/// folds an annotated epoch, so [`serve`] answers queries on their own
+/// thread while the next epoch is measured and annotated or a checkpoint
+/// is written.
 pub struct Service<'a> {
     daemon: Daemon<'a>,
     queries: Queries,
@@ -173,6 +177,9 @@ struct Daemon<'a> {
     pairs: Vec<(ClusterId, ClusterId)>,
     sink: PairProfileSink,
     substores: Vec<TraceStore>,
+    /// One annotator per slot store, grown with it; empty after a resume,
+    /// which folds the recovered records through `Analysis::update`.
+    annotators: Vec<StoreAnnotator>,
     report: CampaignReport,
     /// Epochs applied; the query side keeps its own copy under the lock.
     next_epoch: usize,
@@ -208,6 +215,14 @@ struct Measured {
     report: CampaignReport,
 }
 
+/// One epoch in the slot stores, annotated but not yet folded: each
+/// trace's slot, its row in the slot store and its annotation id in the
+/// slot's annotator, in slot order.
+struct AnnotatedEpoch {
+    epoch: usize,
+    traces: Vec<(usize, usize, u32)>,
+}
+
 /// Where a service's checkpoint log ends: the file, the length of its
 /// valid prefix, and the epoch its last chunk reached.
 struct LogTail {
@@ -235,6 +250,7 @@ impl<'a> Service<'a> {
             }
         }
         let substores = (0..profiles.len()).map(|_| TraceStore::new()).collect();
+        let annotators = (0..profiles.len()).map(|_| StoreAnnotator::new()).collect();
         let queries = Queries {
             slot_of,
             interval: camp_cfg.interval,
@@ -253,6 +269,7 @@ impl<'a> Service<'a> {
             pairs,
             sink,
             substores,
+            annotators,
             report: CampaignReport::default(),
             next_epoch: 0,
             resumed_from: None,
@@ -293,8 +310,8 @@ impl<'a> Service<'a> {
     }
 
     /// Measures one epoch: every (pair, protocol) slot probes once, the
-    /// records append to the live stores/profiles, and the epoch delta
-    /// folds into the incremental analysis. Returns `false` (and does
+    /// records append to the live stores/profiles, and the epoch's traces
+    /// fold into the incremental analysis. Returns `false` (and does
     /// nothing) once the schedule is complete.
     pub fn advance(&mut self) -> bool {
         match self.daemon.measure() {
@@ -543,30 +560,66 @@ impl Daemon<'_> {
         })
     }
 
-    /// The apply phase: appends the epoch's records to the slot stores and
-    /// builds its delta, then — under the query lock — folds the profiles,
-    /// updates the incremental analysis and moves the epoch on, so a query
-    /// sees the epoch whole or not at all.
+    /// The apply phase: [`annotate`](Self::annotate) without the query
+    /// lock, then [`fold`](Self::fold) under it.
     fn apply(&mut self, queries: &Queries, m: Measured) {
+        let annotated = self.annotate(m);
+        self.fold(queries, annotated);
+    }
+
+    /// Appends the epoch's records to the slot stores and annotates each
+    /// through its slot's [`StoreAnnotator`] (span `service.annotate`).
+    /// Takes no lock: it touches only the daemon's side.
+    fn annotate(&mut self, m: Measured) -> AnnotatedEpoch {
         debug_assert_eq!(m.epoch, self.next_epoch, "epochs apply in order");
-        let mut delta = TraceStore::new();
-        for (slot, rec) in &m.records {
-            self.substores[*slot].push(rec);
-            delta.push(rec);
-        }
         self.report.merge(&m.report);
+        let rows: Vec<(usize, usize)> = m
+            .records
+            .iter()
+            .map(|(slot, rec)| {
+                let store = &mut self.substores[*slot];
+                store.push(rec);
+                (*slot, store.len() - 1)
+            })
+            .collect();
+        let map = &self.scenario.ip2asn;
+        let traces = s2s_obs::timed("service.annotate", || {
+            rows.into_iter()
+                .map(|(slot, row)| {
+                    let id = self.annotators[slot].annotate(&self.substores[slot], row, map);
+                    (slot, row, id)
+                })
+                .collect()
+        });
+        AnnotatedEpoch { epoch: m.epoch, traces }
+    }
+
+    /// Copies the epoch's rows out of the slot stores into compact
+    /// [`AnnotatedTrace`]s, then — under the query lock (span
+    /// `service.apply`) — folds the profiles, folds the traces into the
+    /// incremental analysis and moves the epoch on, so a query sees the
+    /// epoch whole or not at all.
+    fn fold(&mut self, queries: &Queries, e: AnnotatedEpoch) {
+        let traces: Vec<(usize, AnnotatedTrace<'_>)> = e
+            .traces
+            .iter()
+            .map(|&(slot, row, id)| {
+                let v = self.substores[slot].view(row);
+                (slot, AnnotatedTrace::new(v, self.annotators[slot].get(id)))
+            })
+            .collect();
         let mut live = queries.lock();
         s2s_obs::timed("service.apply", || {
-            for (slot, rec) in &m.records {
-                self.sink.fold(&mut live.profiles[*slot], m.epoch as u64, rec.t, rec.e2e_rtt_ms);
+            for (slot, tr) in &traces {
+                self.sink.fold(&mut live.profiles[*slot], e.epoch as u64, tr.t(), tr.e2e_rtt_ms());
             }
-            live.analysis.update(&delta, &self.scenario.ip2asn);
-            live.epoch = m.epoch + 1;
+            live.analysis.fold(traces.iter().map(|&(_, tr)| tr));
+            live.epoch = e.epoch + 1;
         });
         drop(live);
-        self.next_epoch = m.epoch + 1;
+        self.next_epoch = e.epoch + 1;
         s2s_obs::inc("service.epochs");
-        s2s_obs::add("service.records", delta.len() as u64);
+        s2s_obs::add("service.records", e.traces.len() as u64);
     }
 
     /// [`Service::checkpoint`].
@@ -833,9 +886,10 @@ pub struct ServeOutcome {
 /// Three threads share the work. A detached reader forwards `input`'s
 /// lines, at most [`MAX_QUERY_LINE`] bytes each, to a scoped answerer,
 /// which writes each answer to `output` in query order; the daemon (the
-/// calling thread) measures each epoch without the query lock, applies it
-/// under the lock, and writes checkpoints beside it. An answer reflects
-/// the last epoch applied whole, even while the next one is measured.
+/// calling thread) measures and annotates each epoch without the query
+/// lock, folds it under the lock, and writes checkpoints beside it. An
+/// answer reflects the last epoch applied whole, even while the next one
+/// is measured.
 ///
 /// `quit` stops the schedule at the next epoch boundary: the epoch in
 /// flight is applied whole, later lines go unanswered. EOF only ends the
@@ -1085,6 +1139,7 @@ pub fn batch_baseline(
 mod tests {
     use super::*;
     use crate::scenario::Scale;
+    use s2s_core::changes::{detect_changes, path_stats};
 
     fn tiny_scenario() -> Scenario {
         Scenario::build(Scale {
@@ -1155,60 +1210,97 @@ mod tests {
                 "profile states diverged"
             );
             assert_eq!(svc.report(), &batch_report, "merged report diverged");
-            // The incremental timelines equal a batch analysis over the
-            // merged store.
-            let batch_tls =
-                Analysis::new(&batch_store).timelines(&scenario.ip2asn);
-            assert_eq!(svc.analysis().timelines(), &batch_tls[..]);
+            // The incremental timelines and verdicts equal a batch
+            // analysis over the merged store.
+            assert_folds_match_batch(&mut svc, &batch_store, profile_tag(&profile));
         }
+    }
+
+    /// The live timelines, change verdicts and prevalence datasets equal a
+    /// batch `Analysis` over `store` and the batch `detect_changes` /
+    /// `path_stats` over its timelines.
+    fn assert_folds_match_batch(svc: &mut Service<'_>, store: &TraceStore, case: &str) {
+        let interval = svc.queries.interval;
+        let tls = Analysis::new(store).timelines(&svc.daemon.scenario.ip2asn);
+        let a = svc.analysis();
+        assert_eq!(a.timelines(), &tls[..], "{case}: timelines diverged from batch");
+        assert_eq!(
+            a.change_stats(),
+            tls.iter().map(detect_changes).collect::<Vec<_>>(),
+            "{case}: change verdicts diverged from batch"
+        );
+        assert_eq!(
+            a.path_stats(interval),
+            tls.iter().map(|tl| path_stats(tl, interval)).collect::<Vec<_>>(),
+            "{case}: prevalence diverged from batch"
+        );
     }
 
     #[test]
     fn kill_and_resume_recovers_byte_identically() {
         for profile in [FaultProfile::default(), noisy()] {
             let scenario = tiny_scenario();
-            let path = tmp(&format!(
-                "service-resume-{}.snap",
-                if profile.is_quiet() { "quiet" } else { "noisy" }
-            ));
+            let path = tmp(&format!("service-resume-{}.snap", profile_tag(&profile)));
+            let cfg = || cfg_with(profile, Some(path.clone()));
             // The uninterrupted reference run.
             let mut reference = Service::new(&scenario, cfg_with(profile, None));
             while reference.advance() {}
             // The victim: checkpoint every 4 epochs, killed mid-interval
             // (epoch 6) — everything after the epoch-4 checkpoint is lost.
-            let mut victim =
-                Service::new(&scenario, cfg_with(profile, Some(path.clone())));
-            for _ in 0..6 {
-                victim.advance();
-                if victim.next_epoch().is_multiple_of(4) {
-                    victim.checkpoint(&path).unwrap();
-                }
-            }
+            let mut victim = Service::new(&scenario, cfg());
+            drive(&mut victim, &path, 6, 4);
             drop(victim); // the kill: no final flush
-            let mut recovered =
-                Service::resume(&scenario, cfg_with(profile, Some(path.clone())), &path)
-                    .unwrap();
+            let mut recovered = Service::resume(&scenario, cfg(), &path).unwrap();
             assert_eq!(recovered.resumed_from(), Some(4), "must resume at the checkpoint");
             assert_eq!(
                 recovered.n_epochs() - recovered.next_epoch(),
                 reference.n_epochs() - 4,
                 "lost-work accounting must be exact"
             );
+            // Killed again after a resume, whose slot annotators started
+            // empty: epochs 4..10 ran live on them, and the epoch-8 chunk
+            // holds what they annotated.
+            drive(&mut recovered, &path, 10, 4);
+            drop(recovered);
+            let mut recovered = Service::resume(&scenario, cfg(), &path).unwrap();
+            assert_eq!(recovered.resumed_from(), Some(8), "must resume at the second checkpoint");
             while recovered.advance() {}
-            assert_eq!(recovered.digest(), reference.digest(), "digest diverged");
-            assert_eq!(
-                profile_lines(recovered.profiles()),
-                profile_lines(reference.profiles()),
-                "profiles diverged"
-            );
-            assert_eq!(recovered.report(), reference.report(), "report diverged");
-            assert_eq!(
-                recovered.analysis().timelines(),
-                reference.analysis().timelines(),
-                "timelines diverged"
-            );
+            assert_same_state(&mut recovered, &mut reference, profile_tag(&profile));
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn annotation_runs_while_a_query_holds_the_lock() {
+        let scenario = tiny_scenario();
+        let mut reference = Service::new(&scenario, cfg_with(noisy(), None));
+        while reference.advance() {}
+        let mut svc = Service::new(&scenario, cfg_with(noisy(), None));
+        svc.advance();
+        let Service { daemon, queries } = &mut svc;
+        let queries = &*queries;
+        let (held_tx, held_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            // A reader holds the query lock until the daemon has annotated
+            // the next epoch, or gives up after a minute.
+            let reader = s.spawn(move || {
+                let _live = queries.lock();
+                held_tx.send(()).unwrap();
+                done_rx.recv_timeout(std::time::Duration::from_secs(60)).is_ok()
+            });
+            held_rx.recv().unwrap();
+            let m = daemon.measure().expect("the schedule has epochs left");
+            let annotated = daemon.annotate(m);
+            let _ = done_tx.send(());
+            assert!(
+                reader.join().unwrap(),
+                "annotation waited for the query lock"
+            );
+            daemon.fold(queries, annotated);
+        });
+        while svc.advance() {}
+        assert_same_state(&mut svc, &mut reference, "annotated under a held lock");
     }
 
     /// Advances `svc` to epoch `until`, checkpointing to `path` every
@@ -1235,6 +1327,7 @@ mod tests {
             want.analysis().timelines(),
             "{case}: timelines diverged"
         );
+        assert_folds_match_batch(got, &want.merged_store(), case);
     }
 
     /// The `SERVICE` epochs of the log's chunks, its valid length and

@@ -55,14 +55,6 @@ impl Ip2AsnMap {
         }
     }
 
-    /// Batch lookup: one [`Ip2AsnMap::lookup`] result per address, in
-    /// order. The columnar analysis plane calls this over a store's intern
-    /// table, so the trie is walked once per *distinct* address in a corpus
-    /// instead of once per hop observation.
-    pub fn lookup_batch(&self, addrs: &[IpAddr]) -> Vec<Option<Asn>> {
-        addrs.iter().map(|&a| self.lookup(a)).collect()
-    }
-
     /// [`Ip2AsnMap::lookup`] with the IXP-fabric filter applied: fabric
     /// addresses identify the exchange, not a network on the AS path, so
     /// they map to `None` here (the annotation pipeline's middle-hop rule).

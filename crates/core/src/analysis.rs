@@ -55,6 +55,7 @@ use crate::congestion::{
     detect, detect_checked, detect_profile, detect_profile_checked, overhead_profiles,
     DetectParams, PairCongestion,
 };
+use crate::columnar::{AnnotatedTrace, StoreAnnotator};
 use crate::dualstack::{rtt_diffs, DualStackDiffs};
 use crate::incremental::IncrementalState;
 use crate::ownership::OwnershipInference;
@@ -366,10 +367,27 @@ impl Analysis<IncrementalState> {
     /// `Analysis` over the concatenated trace stream — regardless of how
     /// the stream was split into deltas (pinned in
     /// `tests/tests/incremental_equivalence.rs`).
+    ///
+    /// An update is the annotate phase (the delta's addresses resolved
+    /// once, each distinct trace identity annotated once) followed by
+    /// [`fold`](Analysis::fold), the only code that changes the live
+    /// state.
     pub fn update(&mut self, delta: &TraceStore, map: &Ip2AsnMap) {
-        s2s_obs::timed("analysis.update", || self.source.absorb(delta, map));
+        let mut ann = StoreAnnotator::new();
+        let ids: Vec<u32> = (0..delta.len()).map(|row| ann.annotate(delta, row, map)).collect();
+        self.fold(delta.iter().zip(ids).map(|(v, id)| AnnotatedTrace::new(v, ann.get(id))));
+    }
+
+    /// The fold phase of [`update`](Analysis::update): folds traces that
+    /// are already annotated, in order, into the live state (span
+    /// `analysis.update`). A trace's annotation may come from any
+    /// annotator, since it depends only on the trace's content, so a
+    /// caller can annotate — and build the [`AnnotatedTrace`]s — without
+    /// holding whatever guards the state, and hold it only for this fold.
+    pub fn fold<'a>(&mut self, traces: impl IntoIterator<Item = AnnotatedTrace<'a>>) {
+        let n = s2s_obs::timed("analysis.update", || self.source.fold(traces));
         self.count("analysis.updates", 1);
-        self.count("analysis.update_traces", delta.len() as u64);
+        self.count("analysis.update_traces", n);
     }
 
     /// The timelines folded so far, one per (src, dst, protocol) group in

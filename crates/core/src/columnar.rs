@@ -12,6 +12,10 @@
 //!   one trie walk per distinct address in the corpus,
 //! * [`ColumnarAnnotator`] memoizes full annotations per
 //!   `(hop-sequence id, src-addr id, dst-addr id)` key,
+//! * [`StoreAnnotator`] is the same memo bound to one growing store: it
+//!   grows its own address table with the store and keeps its memo across
+//!   batches, so a store fed epoch by epoch resolves each address and
+//!   annotates each identity once over its whole life,
 //! * [`Analysis::timelines`](crate::Analysis::timelines) (the driver
 //!   lives here) shards the (src, dst, protocol) groups across
 //!   `std::thread::scope` workers in contiguous chunks and writes each
@@ -40,12 +44,13 @@ use crate::ownership::{infer_ownership, OwnershipInference};
 use crate::timeline::{Sample, TraceTimeline};
 use s2s_bgp::{AsRelStore, Ip2AsnMap};
 use s2s_probe::store::{TraceStore, TraceView, NO_ADDR};
-use s2s_types::{AsPath, Asn, ClusterId, Protocol};
+use s2s_types::{AsPath, Asn, ClusterId, Protocol, SimTime};
 use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Per-interned-address ASN tables: the batch ip2asn resolution of a
 /// store's address table, raw and IXP-filtered.
+#[derive(Debug, Default)]
 pub struct AddrAsnTable {
     raw: Vec<Option<Asn>>,
     non_ixp: Vec<Option<Asn>>,
@@ -54,9 +59,23 @@ pub struct AddrAsnTable {
 impl AddrAsnTable {
     /// Resolves every interned address of `store` once.
     pub fn build(store: &TraceStore, map: &Ip2AsnMap) -> AddrAsnTable {
-        let raw = map.lookup_batch(store.addrs());
-        let non_ixp = raw.iter().map(|&o| o.filter(|a| !map.is_ixp(*a))).collect();
-        AddrAsnTable { raw, non_ixp }
+        let mut table = AddrAsnTable::default();
+        table.extend(store, map);
+        table
+    }
+
+    /// Resolves the addresses `store` interned past the ones this table
+    /// already holds: a store only appends to its address table, so a
+    /// table grown alongside it stays exact.
+    pub(crate) fn extend(&mut self, store: &TraceStore, map: &Ip2AsnMap) {
+        let new = &store.addrs()[self.raw.len()..];
+        self.raw.reserve(new.len());
+        self.non_ixp.reserve(new.len());
+        for &addr in new {
+            let asn = map.lookup(addr);
+            self.raw.push(asn);
+            self.non_ixp.push(asn.filter(|a| !map.is_ixp(*a)));
+        }
     }
 
     /// The raw longest-prefix mapping of an interned address.
@@ -81,38 +100,133 @@ impl AddrAsnTable {
     }
 }
 
+/// The annotation memo both annotators share: one [`Annotated`] per
+/// distinct `(hop-sequence id, src-addr id, dst-addr id)` key, by id.
+#[derive(Debug, Default)]
+struct AnnotationMemo {
+    index: HashMap<(u32, u32, u32), u32>,
+    values: Vec<Annotated>,
+    hits: u64,
+}
+
+impl AnnotationMemo {
+    /// The id of `v`'s annotation, annotating it on first sight.
+    fn id_of(&mut self, v: TraceView<'_>, table: &AddrAsnTable) -> u32 {
+        use std::collections::hash_map::Entry;
+        match self.index.entry((v.seq_id(), v.src_addr_id(), v.dst_addr_id())) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                let id = self.values.len() as u32;
+                self.values.push(annotate_view(v, table));
+                *e.insert(id)
+            }
+        }
+    }
+
+    fn stats(&self) -> (u64, u64) {
+        (self.hits, self.values.len() as u64)
+    }
+}
+
 /// Annotates trace views with a memo per interned identity. Produces
 /// exactly what [`crate::annotate::annotate`] produces for the
 /// materialized record — the annotation depends only on the hop-address
 /// sequence and the endpoint addresses, all of which are interned.
 pub struct ColumnarAnnotator<'a> {
     table: &'a AddrAsnTable,
-    memo: HashMap<(u32, u32, u32), Annotated>,
-    hits: u64,
+    memo: AnnotationMemo,
 }
 
 impl<'a> ColumnarAnnotator<'a> {
     /// A fresh annotator (one per shard thread; the table is shared).
     pub fn new(table: &'a AddrAsnTable) -> ColumnarAnnotator<'a> {
-        ColumnarAnnotator { table, memo: HashMap::new(), hits: 0 }
+        ColumnarAnnotator { table, memo: AnnotationMemo::default() }
     }
 
     /// The annotation of one trace view (memoized).
     pub fn annotate(&mut self, v: TraceView<'_>) -> &Annotated {
-        let key = (v.seq_id(), v.src_addr_id(), v.dst_addr_id());
-        use std::collections::hash_map::Entry;
-        match self.memo.entry(key) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(e) => e.insert(annotate_view(v, self.table)),
-        }
+        let id = self.memo.id_of(v, self.table);
+        &self.memo.values[id as usize]
     }
 
     /// (memo hits, distinct annotations computed).
     pub fn memo_stats(&self) -> (u64, u64) {
-        (self.hits, self.memo.len() as u64)
+        self.memo.stats()
+    }
+}
+
+/// A memoizing annotator bound to one growing store: it owns its address
+/// table and grows it with the store, and its memo outlives any one batch,
+/// because a store only appends — the interned ids of its rows never
+/// change. Each address is resolved once and each distinct (hop sequence,
+/// endpoints) annotated once over the store's whole life. Feed it one
+/// store only: ids from another store index other addresses.
+#[derive(Debug, Default)]
+pub struct StoreAnnotator {
+    table: AddrAsnTable,
+    memo: AnnotationMemo,
+}
+
+impl StoreAnnotator {
+    /// An annotator for a store it has not seen yet.
+    pub fn new() -> StoreAnnotator {
+        StoreAnnotator::default()
+    }
+
+    /// The id of the annotation of row `row` of `store`, resolving the
+    /// addresses `store` interned since the last call first.
+    pub fn annotate(&mut self, store: &TraceStore, row: usize, map: &Ip2AsnMap) -> u32 {
+        self.table.extend(store, map);
+        self.memo.id_of(store.view(row), &self.table)
+    }
+
+    /// The annotation behind an id [`annotate`](Self::annotate) returned.
+    pub fn get(&self, id: u32) -> &Annotated {
+        &self.memo.values[id as usize]
+    }
+}
+
+/// One trace as an incremental fold reads it: its group, time, reach and
+/// end-to-end RTT, copied out of its store row, and its annotation. Built
+/// before the fold, so the fold itself reads no store — only this compact
+/// record and the live state.
+#[derive(Clone, Copy, Debug)]
+pub struct AnnotatedTrace<'a> {
+    pub(crate) src: ClusterId,
+    pub(crate) dst: ClusterId,
+    pub(crate) proto: Protocol,
+    pub(crate) t: SimTime,
+    pub(crate) reached: bool,
+    pub(crate) e2e_rtt_ms: Option<f64>,
+    pub(crate) annotated: &'a Annotated,
+}
+
+impl<'a> AnnotatedTrace<'a> {
+    /// The trace of row `v`, annotated as `annotated` (which must be the
+    /// annotation of `v`'s hop sequence and endpoints).
+    pub fn new(v: TraceView<'_>, annotated: &'a Annotated) -> AnnotatedTrace<'a> {
+        AnnotatedTrace {
+            src: v.src(),
+            dst: v.dst(),
+            proto: v.proto(),
+            t: v.t(),
+            reached: v.reached(),
+            e2e_rtt_ms: v.e2e_rtt_ms(),
+            annotated,
+        }
+    }
+
+    /// When the trace ran.
+    pub fn t(&self) -> SimTime {
+        self.t
+    }
+
+    /// End-to-end RTT, ms.
+    pub fn e2e_rtt_ms(&self) -> Option<f64> {
+        self.e2e_rtt_ms
     }
 }
 
@@ -197,21 +311,26 @@ fn build_timeline(
     };
     for &i in &g.traces {
         let v = store.view(i as usize);
-        let reached = v.reached();
-        let a = ann.annotate(v);
-        tl.counts.add_outcome(reached, a);
-        let path = if reached && !a.has_loop {
-            Some(intern_path(&mut tl.paths, &a.as_path))
-        } else {
-            None
-        };
-        tl.samples.push(Sample {
-            t: v.t(),
-            path,
-            rtt_ms: v.e2e_rtt_ms().filter(|_| path.is_some()).map(|r| r as f32),
-        });
+        push_sample(&mut tl, &AnnotatedTrace::new(v, ann.annotate(v)));
     }
     tl
+}
+
+/// Appends one annotated trace to its group's timeline: completeness
+/// counts, path intern (reached, loop-free traces only) and the sample.
+fn push_sample(tl: &mut TraceTimeline, tr: &AnnotatedTrace<'_>) {
+    let a = tr.annotated;
+    tl.counts.add_outcome(tr.reached, a);
+    let path = if tr.reached && !a.has_loop {
+        Some(intern_path(&mut tl.paths, &a.as_path))
+    } else {
+        None
+    };
+    tl.samples.push(Sample {
+        t: tr.t,
+        path,
+        rtt_ms: tr.e2e_rtt_ms.filter(|_| path.is_some()).map(|r| r as f32),
+    });
 }
 
 /// Per-timeline path interning, identical to `TimelineBuilder::intern` but
@@ -251,55 +370,35 @@ impl StreamingTimelines {
     /// fresh annotator per shard — ids are shard-local, annotations are
     /// not, so shard-local memos produce identical `Annotated` values).
     pub(crate) fn absorb_batch(&mut self, batch: &TraceStore, ann: &mut ColumnarAnnotator<'_>) {
-        self.absorb_batch_with(batch, ann, |_, _| {});
+        for v in batch.iter() {
+            self.fold_trace(&AnnotatedTrace::new(v, ann.annotate(v)));
+        }
     }
 
-    /// [`absorb_batch`](Self::absorb_batch) with a per-sample hook: after
-    /// each trace folds into its group, `on_sample` sees the group index
-    /// and the timeline (whose last sample is the one just pushed). This
-    /// is how the incremental analysis keeps per-pair fold state exactly
-    /// in step with the timelines, without a second pass.
-    pub(crate) fn absorb_batch_with(
-        &mut self,
-        batch: &TraceStore,
-        ann: &mut ColumnarAnnotator<'_>,
-        mut on_sample: impl FnMut(usize, &TraceTimeline),
-    ) {
+    /// Folds one annotated trace into its group — group lookup,
+    /// completeness counts, path intern, sample push — and returns the
+    /// group index; the group's last sample is the one just pushed.
+    pub(crate) fn fold_trace(&mut self, tr: &AnnotatedTrace<'_>) -> usize {
         use std::collections::hash_map::Entry;
-        for v in batch.iter() {
-            let key = (v.src(), v.dst(), v.proto());
-            let gi = match self.index.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let gi = self.timelines.len();
-                    self.timelines.push(TraceTimeline {
-                        src: key.0,
-                        dst: key.1,
-                        proto: key.2,
-                        paths: Vec::new(),
-                        samples: Vec::new(),
-                        counts: CompletenessCounts::default(),
-                    });
-                    e.insert(gi);
-                    gi
-                }
-            };
-            let tl = &mut self.timelines[gi];
-            let reached = v.reached();
-            let a = ann.annotate(v);
-            tl.counts.add_outcome(reached, a);
-            let path = if reached && !a.has_loop {
-                Some(intern_path(&mut tl.paths, &a.as_path))
-            } else {
-                None
-            };
-            tl.samples.push(Sample {
-                t: v.t(),
-                path,
-                rtt_ms: v.e2e_rtt_ms().filter(|_| path.is_some()).map(|r| r as f32),
-            });
-            on_sample(gi, &self.timelines[gi]);
-        }
+        let key = (tr.src, tr.dst, tr.proto);
+        let gi = match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let gi = self.timelines.len();
+                self.timelines.push(TraceTimeline {
+                    src: key.0,
+                    dst: key.1,
+                    proto: key.2,
+                    paths: Vec::new(),
+                    samples: Vec::new(),
+                    counts: CompletenessCounts::default(),
+                });
+                e.insert(gi);
+                gi
+            }
+        };
+        push_sample(&mut self.timelines[gi], tr);
+        gi
     }
 
     /// The timelines built so far, one per group in first-seen order.

@@ -2,17 +2,27 @@
 //! batch §4 analyses.
 //!
 //! A batch [`Analysis`](crate::Analysis) answers questions by recomputing
-//! over the whole corpus. [`IncrementalState`] instead *folds*: each epoch
-//! delta (a [`TraceStore`] holding the traces measured since the last
-//! update) appends into
+//! over the whole corpus. [`IncrementalState`] instead *folds*. An update
+//! runs in two phases:
 //!
-//! * the streaming timelines fold (`columnar::StreamingTimelines`) — the
-//!   same group-in-first-seen-order, paths-interned-per-group structure
-//!   the materialized driver builds, and
-//! * per-group appendable state ([`ChangeLog`], [`PrevalenceTally`] from
-//!   `s2s-stats`) kept exactly in step via the per-sample absorb hook —
-//!   so edit-distance change detection and route prevalence are already
-//!   folded when a query arrives, in O(pair state) instead of O(corpus).
+//! * *annotate* — address→ASN resolution and one
+//!   [`Annotated`](crate::Annotated) value per trace, through a
+//!   [`StoreAnnotator`](crate::StoreAnnotator): one over the delta
+//!   [`TraceStore`](s2s_probe::TraceStore), or one per growing store kept
+//!   across updates; each trace then becomes an [`AnnotatedTrace`]. It
+//!   reads no live state, so a service runs it without its query lock;
+//! * *fold* — each annotated trace appends into the streaming timelines
+//!   fold (`columnar::StreamingTimelines`: the same
+//!   group-in-first-seen-order, paths-interned-per-group structure the
+//!   materialized driver builds) and into per-group appendable state
+//!   ([`ChangeLog`], [`PrevalenceTally`] from `s2s-stats`) kept exactly in
+//!   step with it — so edit-distance change detection and route
+//!   prevalence are already folded when a query arrives, in O(pair state)
+//!   instead of O(corpus).
+//!
+//! [`Analysis::update`](crate::Analysis::update) is the two phases over
+//! one delta store; [`Analysis::fold`](crate::Analysis::fold) is the fold
+//! alone, for callers that annotate on their own.
 //!
 //! The contract, pinned by `tests/tests/incremental_equivalence.rs` across
 //! seeds × fault profiles × thread counts: for **any** split of a corpus
@@ -24,10 +34,8 @@
 //! [`path_stats`](crate::changes::path_stats)) over those timelines.
 
 use crate::changes::{ChangeStats, PathStats};
-use crate::columnar::{AddrAsnTable, ColumnarAnnotator, StreamingTimelines};
+use crate::columnar::{AnnotatedTrace, StreamingTimelines};
 use crate::timeline::TraceTimeline;
-use s2s_bgp::Ip2AsnMap;
-use s2s_probe::TraceStore;
 use s2s_stats::{ChangeLog, PrevalenceTally};
 use s2s_types::SimDuration;
 
@@ -36,6 +44,10 @@ use s2s_types::SimDuration;
 struct PairFold {
     changes: ChangeLog<u64>,
     tally: PrevalenceTally,
+    /// The path id `changes` last observed. Interned ids are distinct
+    /// exactly when paths are, so a repeat of it is no change and skips
+    /// building the path's symbols.
+    last: Option<u16>,
 }
 
 /// The live analysis state an always-on service carries between epochs.
@@ -58,27 +70,35 @@ impl IncrementalState {
         IncrementalState { stream: StreamingTimelines::new(), folds: Vec::new(), samples: 0 }
     }
 
-    /// Folds one epoch delta in. Annotation is content-based (the
-    /// per-delta address table resolves to the same ASNs any other
-    /// partition of the corpus would), so the folded state after N updates
+    /// The fold phase of an update: folds annotated traces in, in order
+    /// — group lookup, completeness counts, path intern, sample push, then
+    /// the group's change and prevalence folds. Annotation is
+    /// content-based (any annotator resolves a trace to the same
+    /// [`Annotated`](crate::Annotated) value), so the folded state after any number of folds
     /// depends only on the concatenated trace stream, never on where the
-    /// delta boundaries fell.
-    pub(crate) fn absorb(&mut self, delta: &TraceStore, map: &Ip2AsnMap) {
-        let table = AddrAsnTable::build(delta, map);
-        let mut ann = ColumnarAnnotator::new(&table);
-        let folds = &mut self.folds;
-        self.stream.absorb_batch_with(delta, &mut ann, |gi, tl| {
-            if folds.len() <= gi {
-                folds.resize_with(gi + 1, PairFold::default);
+    /// batch boundaries fell or which annotator annotated a batch. Returns
+    /// the traces folded.
+    pub(crate) fn fold<'a>(&mut self, traces: impl IntoIterator<Item = AnnotatedTrace<'a>>) -> u64 {
+        let mut n = 0u64;
+        for tr in traces {
+            let gi = self.stream.fold_trace(&tr);
+            if self.folds.len() <= gi {
+                self.folds.resize_with(gi + 1, PairFold::default);
             }
-            let s = tl.samples.last().expect("hook fires after a sample push");
+            let tl = &self.stream.timelines()[gi];
+            let s = tl.samples.last().expect("a fold pushes a sample");
             if let Some(p) = s.path {
-                let fold = &mut folds[gi];
-                fold.changes.observe(&tl.paths[p as usize].symbols());
+                let fold = &mut self.folds[gi];
+                if fold.last != Some(p) {
+                    fold.changes.observe(&tl.paths[p as usize].symbols());
+                    fold.last = Some(p);
+                }
                 fold.tally.observe(p as usize);
             }
-        });
-        self.samples += delta.len() as u64;
+            n += 1;
+        }
+        self.samples += n;
+        n
     }
 
     /// The timelines folded so far — one per (src, dst, protocol) group in
@@ -143,7 +163,8 @@ mod tests {
     use super::*;
     use crate::changes::{detect_changes, path_stats};
     use crate::Analysis;
-    use s2s_probe::{HopObs, TracerouteRecord};
+    use s2s_bgp::Ip2AsnMap;
+    use s2s_probe::{HopObs, TraceStore, TracerouteRecord};
     use s2s_types::{Asn, ClusterId, IpNet, Ipv4Net, Protocol, SimTime};
     use std::net::Ipv4Addr;
 

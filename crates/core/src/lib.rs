@@ -65,7 +65,7 @@ pub mod timeline;
 pub use analysis::{Analysis, AnalysisSource, DEFAULT_COVERAGE_FLOOR};
 pub use annotate::{Annotated, Completeness};
 pub use bestpath::{BestPathAnalysis, PathDelta};
-pub use columnar::{AddrAsnTable, ColumnarAnnotator};
+pub use columnar::{AddrAsnTable, AnnotatedTrace, ColumnarAnnotator, StoreAnnotator};
 pub use changes::{
     detect_changes_checked, path_stats_checked, ChangeStats, PathStats,
 };

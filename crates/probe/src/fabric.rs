@@ -44,7 +44,6 @@ use crate::campaign::CampaignReport;
 use crate::faults::{key, mix, uniform};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -466,30 +465,27 @@ pub fn emit_shard<W: Write>(
 /// A background thread printing `F|HB` frames to stdout at a fixed
 /// interval while the worker computes (each `println!` takes the global
 /// stdout lock; stop it before [`emit_shard`], whose `DATA` frames it
-/// would shear). Stops on drop or [`HeartbeatHandle::stop`].
+/// would shear). Stops on drop or [`HeartbeatHandle::stop`], at once: the
+/// thread waits out each interval on a channel that stopping closes, not
+/// in a sleep.
 pub struct HeartbeatHandle {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatHandle {
     /// Starts the heartbeat thread for `shard`.
     pub fn start(shard: usize, interval: Duration) -> HeartbeatHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, wake) = mpsc::channel::<()>();
         let join = std::thread::spawn(move || {
             let mut beats = 0u64;
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(mpsc::RecvTimeoutError::Timeout) = wake.recv_timeout(interval) {
                 beats += 1;
                 println!("{}", Frame::Heartbeat { shard, done: beats }.to_line());
                 let _ = io::stdout().flush();
             }
         });
-        HeartbeatHandle { stop, join: Some(join) }
+        HeartbeatHandle { stop: Some(stop), join: Some(join) }
     }
 
     /// Stops the thread and waits for it.
@@ -498,7 +494,7 @@ impl HeartbeatHandle {
     }
 
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -586,8 +582,17 @@ pub trait WorkerLauncher {
     fn launch(&self, shard: usize, attempt: u32) -> io::Result<LaunchedWorker>;
 }
 
+/// Events a worker's reader thread queues ahead of the coordinator. The
+/// queue is bounded, so a worker that writes faster than the coordinator
+/// drains blocks on its stdout instead of filling the coordinator's
+/// memory: what an attempt holds is its accepted payload, at most
+/// [`FabricConfig::max_payload_bytes`], plus this many frames in flight.
+const EVENT_QUEUE: usize = 2;
+
 /// Launches real subprocesses: `program args…` with the fabric assignment
-/// in the environment and stdout read back through [`read_events`].
+/// in the environment and stdout read back through [`read_events`]. A
+/// worker whose attempt the coordinator ends early is killed and its
+/// stdout still drained to EOF, so it never blocks on a full pipe.
 pub struct ProcessLauncher {
     /// Worker executable.
     pub program: std::path::PathBuf,
@@ -610,7 +615,7 @@ impl WorkerLauncher for ProcessLauncher {
         let mut child = cmd.spawn()?;
         let stdout = child.stdout.take().expect("stdout was piped");
         let child = Arc::new(Mutex::new(child));
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(EVENT_QUEUE);
         let reaper = Arc::clone(&child);
         std::thread::spawn(move || {
             let mut reader = io::BufReader::new(stdout);
@@ -646,7 +651,25 @@ pub struct FabricConfig {
     pub backoff_cap_ms: f64,
     /// Seed for backoff jitter.
     pub seed: u64,
+    /// Ceiling on one attempt's total `DATA` bytes: an attempt that sends
+    /// more is refused as an incomplete stream and its worker killed. Not
+    /// a knob: [`with_shard_slots`](FabricConfig::with_shard_slots)
+    /// derives it from the campaign slots of the largest shard; the
+    /// default, for a coordinator that does not know them, is
+    /// [`DEFAULT_MAX_PAYLOAD_BYTES`].
+    pub max_payload_bytes: u64,
 }
+
+/// The snapshot bytes one campaign slot may account for in a shard's
+/// payload. A traceroute of the largest TTL (255 hops), every hop address
+/// and the hop sequence new to the shard, encodes in ~7.6 KiB (per hop a
+/// 17-byte IPv6 address, a 4-byte hop id and an 8-byte RTT); a ping
+/// slot's share of its pair's sink state is far less.
+pub const MAX_SLOT_PAYLOAD_BYTES: u64 = 8 << 10;
+
+/// [`FabricConfig::max_payload_bytes`] when the shard size is unknown
+/// (1 GiB).
+pub const DEFAULT_MAX_PAYLOAD_BYTES: u64 = 1 << 30;
 
 impl Default for FabricConfig {
     fn default() -> Self {
@@ -657,6 +680,7 @@ impl Default for FabricConfig {
             backoff_base_ms: 10.0,
             backoff_cap_ms: 1_000.0,
             seed: 0xFAB,
+            max_payload_bytes: DEFAULT_MAX_PAYLOAD_BYTES,
         }
     }
 }
@@ -685,7 +709,18 @@ impl FabricConfig {
             ) as f64,
             backoff_cap_ms: d.backoff_cap_ms,
             seed: tenv::var_u64("S2S_FABRIC_FAULT_SEED", d.seed),
+            max_payload_bytes: d.max_payload_bytes,
         }
+    }
+
+    /// This config with [`max_payload_bytes`](FabricConfig::max_payload_bytes)
+    /// derived for shards of at most `slots` campaign slots:
+    /// [`MAX_SLOT_PAYLOAD_BYTES`] per slot plus one frame for the
+    /// snapshot's framing and sink lines.
+    pub fn with_shard_slots(mut self, slots: usize) -> FabricConfig {
+        self.max_payload_bytes =
+            (slots as u64).saturating_mul(MAX_SLOT_PAYLOAD_BYTES) + MAX_FRAME_BYTES as u64;
+        self
     }
 
     /// The backoff before retrying `shard` after `failed_attempt`:
@@ -711,7 +746,8 @@ pub enum AttemptFailure {
     NonzeroExit,
     /// END checksum did not match the received payload.
     ChecksumMismatch,
-    /// Stream ended without HELLO/REPORT/END, or was damaged.
+    /// Stream ended without HELLO/REPORT/END, was damaged, or sent more
+    /// than [`FabricConfig::max_payload_bytes`].
     IncompleteStream,
 }
 
@@ -845,10 +881,14 @@ impl FabricOutcome {
 }
 
 /// One worker attempt's accumulating protocol state.
-#[derive(Default)]
 struct AttemptState {
     hello: bool,
+    /// The accepted `DATA` frames, at most `ceiling` bytes in all; none
+    /// once the stream has passed it.
     payload: Vec<Vec<u8>>,
+    /// Every `DATA` byte the stream sent, accepted or not.
+    payload_bytes: u64,
+    ceiling: u64,
     report: Option<CampaignReport>,
     counters: Vec<(String, u64)>,
     end_checksum: Option<u64>,
@@ -859,6 +899,22 @@ struct AttemptState {
 }
 
 impl AttemptState {
+    /// A fresh attempt whose payload may reach `ceiling` bytes.
+    fn new(ceiling: u64) -> AttemptState {
+        AttemptState {
+            hello: false,
+            payload: Vec::new(),
+            payload_bytes: 0,
+            ceiling,
+            report: None,
+            counters: Vec::new(),
+            end_checksum: None,
+            protocol_errors: 0,
+            exit: None,
+            timed_out: false,
+        }
+    }
+
     fn feed(&mut self, event: WorkerEvent) {
         match event {
             WorkerEvent::Frame(Frame::Hello { .. }) => self.hello = true,
@@ -868,7 +924,14 @@ impl AttemptState {
                 self.counters.extend(counters);
             }
             WorkerEvent::Frame(Frame::End { checksum, .. }) => self.end_checksum = Some(checksum),
-            WorkerEvent::Data(bytes) => self.payload.push(bytes),
+            WorkerEvent::Data(bytes) => {
+                self.payload_bytes = self.payload_bytes.saturating_add(bytes.len() as u64);
+                if self.over_ceiling() {
+                    self.payload = Vec::new();
+                } else {
+                    self.payload.push(bytes);
+                }
+            }
             WorkerEvent::Exit(code) => self.exit = Some(code),
             // Damage, or a bare DATA line (`read_events` sends none).
             WorkerEvent::Damaged(_) | WorkerEvent::Frame(Frame::Data { .. }) => {
@@ -877,10 +940,19 @@ impl AttemptState {
         }
     }
 
+    /// Whether the stream sent more `DATA` bytes than the ceiling: the
+    /// attempt is refused, whatever else it sends.
+    fn over_ceiling(&self) -> bool {
+        self.payload_bytes > self.ceiling
+    }
+
     /// Judges a finished stream (exit already received).
     fn verdict(&self) -> Result<(), AttemptFailure> {
         if self.timed_out {
             return Err(AttemptFailure::Timeout);
+        }
+        if self.over_ceiling() {
+            return Err(AttemptFailure::IncompleteStream);
         }
         match self.exit {
             Some(Some(0)) => {}
@@ -964,7 +1036,7 @@ impl<L: WorkerLauncher> Coordinator<L> {
                     shard: q.shard,
                     attempt: q.attempt,
                     worker,
-                    state: AttemptState::default(),
+                    state: AttemptState::new(self.cfg.max_payload_bytes),
                     last_event: Instant::now(),
                     first_failure: q.first_failure,
                 });
@@ -981,7 +1053,13 @@ impl<L: WorkerLauncher> Coordinator<L> {
                             f.state.feed(event);
                             f.last_event = Instant::now();
                             progressed = true;
-                            if exit {
+                            let refused = f.state.over_ceiling();
+                            if refused {
+                                // Refused mid-stream: its worker is killed,
+                                // and its launcher drains what it wrote.
+                                (f.worker.kill)();
+                            }
+                            if exit || refused {
                                 finished.push(i);
                                 break;
                             }
@@ -1087,6 +1165,7 @@ impl<L: WorkerLauncher> Coordinator<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// `n` bytes of shard `shard`'s payload.
     fn payload_bytes(shard: usize, n: usize) -> Vec<u8> {
@@ -1173,6 +1252,7 @@ mod tests {
             backoff_base_ms: 1.0,
             backoff_cap_ms: 5.0,
             seed: 7,
+            max_payload_bytes: DEFAULT_MAX_PAYLOAD_BYTES,
         }
     }
 
@@ -1251,7 +1331,7 @@ mod tests {
         let p = ShardPayload { bytes: bytes.clone(), ..ShardPayload::default() };
         let mut stream = Vec::new();
         emit_shard(&mut stream, 0, &p, false).unwrap();
-        let mut state = AttemptState::default();
+        let mut state = AttemptState::new(DEFAULT_MAX_PAYLOAD_BYTES);
         state.feed(WorkerEvent::Frame(Frame::Hello { shard: 0, attempt: 1 }));
         read_events(&stream[..], |e| {
             state.feed(e);
@@ -1297,7 +1377,7 @@ mod tests {
                 events.last()
             );
             assert_eq!(events.len(), 2, "{what}: nothing is read past damage");
-            let mut state = AttemptState::default();
+            let mut state = AttemptState::new(DEFAULT_MAX_PAYLOAD_BYTES);
             events.into_iter().for_each(|e| state.feed(e));
             state.feed(WorkerEvent::Frame(Frame::Report {
                 shard: 0,
@@ -1332,6 +1412,43 @@ mod tests {
         assert_eq!(out.stats.recoveries, 2);
         assert_eq!(out.stats.lost, 0);
         assert_eq!(merged_len(&out), 10);
+    }
+
+    /// Stopping a heartbeat wakes its thread at once instead of waiting
+    /// out the interval's sleep.
+    #[test]
+    fn heartbeat_stop_does_not_wait_out_the_interval() {
+        let hb = HeartbeatHandle::start(0, Duration::from_secs(60));
+        let t = Instant::now();
+        hb.stop();
+        assert!(t.elapsed() < Duration::from_secs(1), "stop took {:?}", t.elapsed());
+        let hb = HeartbeatHandle::start(0, Duration::from_secs(60));
+        let t = Instant::now();
+        drop(hb);
+        assert!(t.elapsed() < Duration::from_secs(1), "drop took {:?}", t.elapsed());
+    }
+
+    /// A payload that passes the ceiling is refused, whatever follows it,
+    /// and the attempt keeps none of its frames.
+    #[test]
+    fn payload_past_the_ceiling_is_refused() {
+        let mut stream = Vec::new();
+        let p = ShardPayload { bytes: vec![1; 100], ..ShardPayload::default() };
+        emit_shard(&mut stream, 0, &p, false).unwrap();
+        for (ceiling, verdict) in [(100, Ok(())), (99, Err(AttemptFailure::IncompleteStream))] {
+            let mut state = AttemptState::new(ceiling);
+            state.feed(WorkerEvent::Frame(Frame::Hello { shard: 0, attempt: 1 }));
+            read_events(&stream[..], |e| {
+                state.feed(e);
+                true
+            })
+            .unwrap();
+            state.feed(WorkerEvent::Exit(Some(0)));
+            assert_eq!(state.verdict(), verdict, "ceiling {ceiling}");
+            assert_eq!(state.payload.is_empty(), verdict.is_err(), "ceiling {ceiling}");
+        }
+        let cfg = FabricConfig::default().with_shard_slots(10);
+        assert_eq!(cfg.max_payload_bytes, 10 * MAX_SLOT_PAYLOAD_BYTES + MAX_FRAME_BYTES as u64);
     }
 
     #[test]

@@ -146,6 +146,7 @@ proptest! {
             backoff_base_ms: 0.5,
             backoff_cap_ms: 2.0,
             seed: fault_seed,
+            ..FabricConfig::default()
         };
         let launcher = Scripted { faults, report_seed };
         let out = Coordinator::new(cfg, launcher).run(n_shards).unwrap();

@@ -105,6 +105,7 @@ fn fabric_cfg(workers: usize) -> FabricConfig {
         backoff_base_ms: 1.0,
         backoff_cap_ms: 10.0,
         seed: 0xFAB,
+        ..FabricConfig::default()
     }
 }
 

@@ -4,14 +4,18 @@
 //! prevalence datasets, `Debug` rendering and all — to one batch
 //! `Analysis` over the whole corpus, across seeds × fault profiles ×
 //! batch thread counts. This is the contract that lets the always-on
-//! service answer §4 questions without ever recomputing O(corpus).
+//! service answer §4 questions without ever recomputing O(corpus). The
+//! same holds when each split is annotated apart from the fold — through
+//! one growing `StoreAnnotator` per group store, as the service annotates
+//! its slot stores — and folded with `Analysis::fold`.
 
 use proptest::prelude::*;
 use s2s_bench::{Scale, Scenario};
 use s2s_core::changes::{detect_changes, path_stats};
-use s2s_core::{Analysis, IncrementalState};
+use s2s_core::{Analysis, AnnotatedTrace, IncrementalState, StoreAnnotator};
 use s2s_probe::{FaultProfile, RetryPolicy, TraceStore, TracerouteRecord};
 use s2s_types::SimDuration;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const SEEDS: [u64; 3] = [3, 11, 29];
@@ -115,22 +119,65 @@ fn corpora() -> &'static [Corpus] {
     })
 }
 
-/// Splits `records` at the given cut fractions (deduped, sorted) and
-/// feeds each chunk as one `update(delta)`.
-fn fold_split(c: &Corpus, cuts: &[usize]) -> Analysis<IncrementalState> {
-    let mut a = Analysis::new(IncrementalState::new());
+/// Splits `records` at the given cut points (deduped, sorted) into
+/// non-empty chunks.
+fn chunks<'a>(records: &'a [TracerouteRecord], cuts: &[usize]) -> Vec<&'a [TracerouteRecord]> {
+    let mut out = Vec::new();
     let mut at = 0usize;
-    for &cut in cuts {
-        let cut = cut.min(c.records.len());
+    for &cut in cuts.iter().chain([&records.len()]) {
+        let cut = cut.min(records.len());
         if cut > at {
-            a.update(&TraceStore::from_records(&c.records[at..cut]), &c.scenario.ip2asn);
+            out.push(&records[at..cut]);
             at = cut;
         }
     }
-    if at < c.records.len() {
-        a.update(&TraceStore::from_records(&c.records[at..]), &c.scenario.ip2asn);
+    out
+}
+
+/// Feeds each chunk of the split as one `update(delta)`.
+fn fold_split(c: &Corpus, cuts: &[usize]) -> Analysis<IncrementalState> {
+    let mut a = Analysis::new(IncrementalState::new());
+    for chunk in chunks(&c.records, cuts) {
+        a.update(&TraceStore::from_records(chunk), &c.scenario.ip2asn);
     }
     a
+}
+
+/// The same split annotated and folded the way the service does it: each
+/// record appends to its (src, dst, protocol) group's own store and is
+/// annotated by that store's `StoreAnnotator`, both living across chunks;
+/// each chunk then folds through `Analysis::fold`.
+fn annotate_then_fold_split(c: &Corpus, cuts: &[usize]) -> Analysis<IncrementalState> {
+    let mut a = Analysis::new(IncrementalState::new());
+    let mut group_of = HashMap::new();
+    let mut groups: Vec<(TraceStore, StoreAnnotator)> = Vec::new();
+    for chunk in chunks(&c.records, cuts) {
+        let annotated: Vec<(usize, usize, u32)> = chunk
+            .iter()
+            .map(|r| {
+                let g = *group_of.entry((r.src, r.dst, r.proto)).or_insert_with(|| {
+                    groups.push((TraceStore::new(), StoreAnnotator::new()));
+                    groups.len() - 1
+                });
+                let (store, ann) = &mut groups[g];
+                store.push(r);
+                let row = store.len() - 1;
+                (g, row, ann.annotate(store, row, &c.scenario.ip2asn))
+            })
+            .collect();
+        a.fold(annotated.iter().map(|&(g, row, id)| {
+            AnnotatedTrace::new(groups[g].0.view(row), groups[g].1.get(id))
+        }));
+    }
+    a
+}
+
+/// Both ways of folding the split: `update` per chunk, and annotate then
+/// fold per chunk through per-group store annotators. Each must equal the
+/// batch state, and so each other.
+fn assert_split_equivalent(c: &Corpus, cuts: &[usize], how: &str) {
+    assert_equivalent(c, &fold_split(c, cuts), &format!("{how}, update"));
+    assert_equivalent(c, &annotate_then_fold_split(c, cuts), &format!("{how}, annotate then fold"));
 }
 
 fn assert_equivalent(c: &Corpus, a: &Analysis<IncrementalState>, how: &str) {
@@ -168,8 +215,7 @@ proptest! {
         let c = &corpora()[corpus_idx];
         cuts.sort_unstable();
         cuts.dedup();
-        let a = fold_split(c, &cuts);
-        assert_equivalent(c, &a, &format!("cuts {cuts:?}"));
+        assert_split_equivalent(c, &cuts, &format!("cuts {cuts:?}"));
     }
 }
 
@@ -187,10 +233,8 @@ fn canonical_splits_fold_to_the_batch_state() {
         };
         for (how, step) in [("per-record", 1usize), ("per-slot-batch", slots)] {
             let cuts: Vec<usize> = (step..c.records.len()).step_by(step).collect();
-            let a = fold_split(c, &cuts);
-            assert_equivalent(c, &a, how);
+            assert_split_equivalent(c, &cuts, how);
         }
-        let a = fold_split(c, &[]);
-        assert_equivalent(c, &a, "single-delta");
+        assert_split_equivalent(c, &[], "single-delta");
     }
 }
