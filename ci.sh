@@ -105,16 +105,16 @@ rm -f smoke.snap
 
 echo "==> multi-shard streaming smoke: fabric shard dir, streamed absorb, byte-identical digest"
 # A fabric run persists one snapshot per shard into a directory; a second
-# run streams the whole directory back through the out-of-core reader at a
-# deliberately tiny batch budget. Both digests must match the in-memory
-# smoke run byte-for-byte.
+# run streams the whole directory back through the out-of-core reader.
+# Both digests must match the in-memory smoke run byte-for-byte. (The
+# multi-batch fold at small budgets is property-tested in
+# tests/tests/out_of_core_equivalence.rs.)
 rm -rf smoke_shards
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     S2S_SNAPSHOT_DIR=smoke_shards \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --workers 2 |
     tee reproduce_sharddir.txt
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
-    S2S_SNAPSHOT_BUDGET=97 \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --snapshot smoke_shards |
     tee reproduce_shardstream.txt
 sharddir_digest=$(grep 'long-term dataset digest:' reproduce_sharddir.txt)
@@ -124,6 +124,13 @@ test "$stream_digest" = "$one_digest"
 grep -q 'snapshot: 2 shard(s)' reproduce_shardstream.txt
 grep -q 'snapshot: reopened' reproduce_shardstream.txt
 rm -rf smoke_shards
+
+echo "==> retired knob warns: S2S_SNAPSHOT_PATH is named as unrecognized"
+# A knob that no longer exists must warn on stderr like a typo, never
+# configure nothing in silence.
+retired_warn=$(S2S_SNAPSHOT_PATH=x \
+    cargo run -q --release -p s2s-bench --bin reproduce -- print-config 2>&1 >/dev/null)
+grep -q 'unrecognized S2S_\* variable(s): S2S_SNAPSHOT_PATH' <<<"$retired_warn"
 
 echo "==> always-on service smoke: capped daemon, resume, scripted queries, digest parity"
 # A capped `serve` session measures 8 epochs, answers a scripted query

@@ -41,22 +41,21 @@
 //!   thread counts.
 //! * `--workers <n>` — collect the long-term campaign through the
 //!   crash-tolerant scale-out fabric with `n` worker subprocesses
-//!   (default `S2S_FABRIC_WORKERS`, 1 = in-process, no fabric). The
-//!   merged dataset is byte-identical to the in-process run — both paths
-//!   print a `dataset digest` line to prove it — even under the seeded
-//!   `S2S_FABRIC_FAULT_*` crash schedules.
-//! * `--snapshot <path>` — binary columnar persistence (default
-//!   `S2S_SNAPSHOT_PATH`). If `<path>` exists, the long-term dataset is
-//!   *streamed* back out-of-core — arenas load once, trace blocks pass
-//!   through a bounded reuse buffer (`S2S_SNAPSHOT_BUDGET` traces at a
-//!   time) — no campaign, no line re-import, and the resident set never
-//!   holds the full trace set. `<path>` may also be a *directory* of
-//!   per-shard `*.snap` files (e.g. an `S2S_SNAPSHOT_DIR` from a fabric
-//!   run), absorbed shard-by-shard in numeric order. Torn or corrupt
-//!   segments degrade to counted skips; a zero-length or magic-only file
-//!   is reported as a distinct *empty snapshot* condition. Otherwise the
-//!   campaign runs and writes its store there. The `dataset digest` line
-//!   is identical either way.
+//!   (default 1 = in-process, no fabric). The merged dataset is
+//!   byte-identical to the in-process run — both paths print a `dataset
+//!   digest` line to prove it — even under the seeded
+//!   `S2S_FABRIC_FAULT_PLAN` crash schedules.
+//! * `--snapshot <path>` — binary columnar persistence. If `<path>`
+//!   exists, the long-term dataset is *streamed* back out-of-core — arenas
+//!   load once, trace blocks pass through a bounded reuse buffer
+//!   (`snapshot::DEFAULT_BLOCK_TRACES` traces at a time) — no campaign, no
+//!   line re-import, and the resident set never holds the full trace set.
+//!   `<path>` may also be a *directory* of per-shard `*.snap` files (e.g.
+//!   an `S2S_SNAPSHOT_DIR` from a fabric run), absorbed shard-by-shard in
+//!   numeric order. Torn or corrupt segments degrade to counted skips; a
+//!   zero-length or magic-only file is reported as a distinct *empty
+//!   snapshot* condition. Otherwise the campaign runs and writes its store
+//!   there. The `dataset digest` line is identical either way.
 //!
 //! Exit codes are the shared [`s2s_types::ExitCode`] vocabulary (also the
 //! fabric worker's): 0 clean, 2 configuration error, 3 campaign/worker
@@ -129,9 +128,9 @@ fn print_config() {
     print!("{}", s2s_probe::env::format_knob_table(&service::service_knobs()));
 }
 
-/// Persists a freshly collected store to `path` when `--snapshot` (or
-/// `S2S_SNAPSHOT_PATH`) asked for one. Prints size and digest so the next
-/// run's reopen can be byte-compared against this line.
+/// Persists a freshly collected store to `path` when `--snapshot` asked
+/// for one. Prints size and digest so the next run's reopen can be
+/// byte-compared against this line.
 fn write_snapshot_if_asked(
     path: Option<&std::path::Path>,
     store: &s2s_probe::TraceStore,
@@ -212,10 +211,8 @@ fn serve_main(a: cli::ServeArgs) -> ! {
     if let Some(n) = a.threads {
         std::env::set_var("S2S_THREADS", n.to_string());
     }
-    let mut cfg = service::ServiceConfig::from_env();
-    if let Some(p) = a.snapshot {
-        cfg.snapshot_path = Some(p);
-    }
+    let cfg =
+        service::ServiceConfig { snapshot_path: a.snapshot, ..service::ServiceConfig::from_env() };
     let scale = Scale::from_env();
     println!(
         "s2s serve — scale: {} clusters, {} days, {} long-term directed pairs, \
@@ -241,9 +238,24 @@ fn serve_main(a: cli::ServeArgs) -> ! {
     }
 }
 
-/// The `snapshot` subcommand: stream a snapshot file or shard directory,
-/// print its damage report and dataset digest, exit clean or degraded.
-fn snapshot_main(path: &std::path::Path) -> ! {
+/// What one streamed pass over a snapshot file or shard directory yields.
+struct Streamed {
+    /// The dataset digest, folded batch by batch in shard order (identical
+    /// to digesting the merged store).
+    digest: u64,
+    /// The shards' damage reports, merged.
+    report: s2s_probe::SnapshotReport,
+    /// The arena summary, summed over the shards.
+    arena: s2s_probe::StoreStats,
+}
+
+/// Streams the snapshot file or shard directory at `path` once, lossily
+/// and out-of-core: prints a directory's shard count, folds the dataset
+/// digest over every batch, sums the arena statistics, merges the damage
+/// reports and prints the `snapshot: {verb}<path> — …` summary line. A
+/// shard that cannot be opened or read exits through
+/// [`snapshot_open_fail`].
+fn stream_snapshot(path: &std::path::Path, verb: &str) -> Streamed {
     let options = s2s_probe::Snapshot::options().lossy(true).stream(true);
     let shard_paths: Vec<std::path::PathBuf> = if path.is_dir() {
         let dir = options.open_dir(path).unwrap_or_else(|e| snapshot_open_fail(path, e));
@@ -252,40 +264,52 @@ fn snapshot_main(path: &std::path::Path) -> ! {
     } else {
         vec![path.to_path_buf()]
     };
-    let mut rep = s2s_probe::SnapshotReport::default();
+    let mut report = s2s_probe::SnapshotReport::default();
     let mut digest = s2s_probe::fabric::FNV64_OFFSET;
+    let mut arena = s2s_probe::StoreStats::default();
     for p in &shard_paths {
         let mut reader = options.open(p).unwrap_or_else(|e| snapshot_open_fail(p, e));
-        loop {
-            match reader.next_batch() {
-                Ok(Some(batch)) => {
-                    digest = s2s_obs::timed("dataset.digest", || {
-                        fabric::store_digest_fold(digest, batch)
-                    });
-                }
-                Ok(None) => break,
-                Err(e) => snapshot_open_fail(p, e),
-            }
+        while let Some(batch) = reader.next_batch().unwrap_or_else(|e| snapshot_open_fail(p, e)) {
+            digest = s2s_obs::timed("dataset.digest", || fabric::store_digest_fold(digest, batch));
+            arena.hop_slots += batch.hop_slots();
         }
-        rep.merge(reader.report());
+        let s = reader.arena().stats();
+        arena.distinct_addrs += s.distinct_addrs;
+        arena.distinct_seqs += s.distinct_seqs;
+        arena.seq_slots += s.seq_slots;
+        arena.arena_bytes += s.arena_bytes;
+        report.merge(reader.report());
     }
+    arena.traces = report.traces;
+    arena.dedup_ratio = if arena.seq_slots == 0 {
+        0.0
+    } else {
+        arena.hop_slots as f64 / arena.seq_slots as f64
+    };
     println!(
-        "snapshot: {} — {} traces ({} skipped), {} sink state(s){}",
+        "snapshot: {verb}{} — {} traces ({} skipped), {} sink state(s){}",
         path.display(),
-        rep.traces,
-        rep.skipped_traces,
-        rep.sinks,
-        if rep.empty {
+        report.traces,
+        report.skipped_traces,
+        report.sinks,
+        if report.empty {
             ", EMPTY"
-        } else if rep.torn {
+        } else if report.torn {
             ", TORN"
         } else {
             ""
         }
     );
+    Streamed { digest, report, arena }
+}
+
+/// The `snapshot` subcommand: stream a snapshot file or shard directory,
+/// print its damage report and dataset digest, exit clean or degraded.
+fn snapshot_main(path: &std::path::Path) -> ! {
+    let Streamed { digest, report, .. } = stream_snapshot(path, "");
     println!("long-term dataset digest: {digest:016x}");
-    if !rep.clean() {
-        for e in &rep.first_errors {
+    if !report.clean() {
+        for e in &report.first_errors {
             eprintln!("snapshot damage: {e}");
         }
         ExitCode::Degraded.exit();
@@ -299,8 +323,8 @@ fn run_main(run: cli::RunArgs) {
         // before config printing or world building.
         std::env::set_var("S2S_THREADS", n.to_string());
     }
-    let workers = run.workers.unwrap_or_else(s2s_probe::env::fabric_workers);
-    let snapshot_path = run.snapshot.or_else(s2s_probe::env::snapshot_path);
+    let workers = run.workers.unwrap_or(1);
+    let snapshot_path = run.snapshot;
     let metrics_json = run.metrics_json;
     let wanted: Vec<&str> =
         if run.ids.is_empty() { ALL.to_vec() } else { run.ids.iter().map(String::as_str).collect() };
@@ -344,65 +368,9 @@ fn run_main(run: cli::RunArgs) {
             // Persistence fast path: stream the campaign's saved arenas
             // back out-of-core — no measurement, no line re-import, and
             // only the arenas plus one block batch are ever resident.
-            let options = s2s_probe::Snapshot::options().lossy(true).stream(true);
-            let shard_paths: Vec<std::path::PathBuf> = if path.is_dir() {
-                let dir = options
-                    .open_dir(path)
-                    .unwrap_or_else(|e| snapshot_open_fail(path, e));
-                println!(
-                    "snapshot: {} shard(s) in {}",
-                    dir.paths().len(),
-                    path.display()
-                );
-                dir.paths().to_vec()
-            } else {
-                vec![path.to_path_buf()]
-            };
-            // Pass 1: fold the dataset digest batch-by-batch in shard
-            // order (identical to digesting the merged store) and
-            // accumulate the damage report and arena summary.
-            let mut rep = s2s_probe::SnapshotReport::default();
-            let mut digest = s2s_probe::fabric::FNV64_OFFSET;
-            let (mut hop_slots, mut seq_slots) = (0usize, 0usize);
-            let (mut distinct_addrs, mut distinct_seqs) = (0usize, 0usize);
-            let mut arena_bytes = 0usize;
-            for p in &shard_paths {
-                let mut reader =
-                    options.open(p).unwrap_or_else(|e| snapshot_open_fail(p, e));
-                loop {
-                    match reader.next_batch() {
-                        Ok(Some(batch)) => {
-                            digest = s2s_obs::timed("dataset.digest", || {
-                                fabric::store_digest_fold(digest, batch)
-                            });
-                            hop_slots += batch.stats().hop_slots;
-                        }
-                        Ok(None) => break,
-                        Err(e) => snapshot_open_fail(p, e),
-                    }
-                }
-                let s = reader.arena().stats();
-                distinct_addrs += s.distinct_addrs;
-                distinct_seqs += s.distinct_seqs;
-                seq_slots += s.seq_slots;
-                arena_bytes += s.arena_bytes;
-                rep.merge(reader.report());
-            }
+            // Pass 1: the dataset digest, damage report and arena summary.
+            let Streamed { digest, report: rep, arena } = stream_snapshot(path, "reopened ");
             rep.publish(&registry);
-            println!(
-                "snapshot: reopened {} — {} traces ({} skipped), {} sink state(s){}",
-                path.display(),
-                rep.traces,
-                rep.skipped_traces,
-                rep.sinks,
-                if rep.empty {
-                    ", EMPTY"
-                } else if rep.torn {
-                    ", TORN"
-                } else {
-                    ""
-                }
-            );
             if rep.empty {
                 eprintln!(
                     "snapshot: {} is an empty snapshot (no segments) — \
@@ -419,6 +387,7 @@ fn run_main(run: cli::RunArgs) {
             // Pass 2: the analysis front door streams the same source —
             // a fresh reader per shard, byte-identical to the in-memory
             // pipeline (the equivalence tests pin that).
+            let options = s2s_probe::Snapshot::options().lossy(true).stream(true);
             let timelines = if path.is_dir() {
                 let dir = options
                     .open_dir(path)
@@ -438,19 +407,6 @@ fn run_main(run: cli::RunArgs) {
                 delivered: rep.traces,
                 lost_slots: rep.skipped_traces,
                 ..s2s_probe::CampaignReport::default()
-            };
-            let arena = s2s_probe::StoreStats {
-                traces: rep.traces,
-                distinct_addrs,
-                distinct_seqs,
-                hop_slots,
-                seq_slots,
-                arena_bytes,
-                dedup_ratio: if seq_slots == 0 {
-                    0.0
-                } else {
-                    hop_slots as f64 / seq_slots as f64
-                },
             };
             let data = s2s_bench::experiments::LongTermData {
                 pairs: fabric::longterm_pairs(&scenario),
@@ -481,7 +437,7 @@ fn run_main(run: cli::RunArgs) {
                 &ckpt_dir,
                 Vec::new(),
             );
-            let cfg = s2s_probe::FabricConfig::from_env(workers);
+            let cfg = s2s_probe::FabricConfig { workers, ..Default::default() };
             let run = fabric::collect_longterm_fabric(&scenario, cfg, launcher);
             let _ = std::fs::remove_dir_all(&ckpt_dir);
             let run = run.unwrap_or_else(|e| {

@@ -42,8 +42,7 @@ pub struct ServeArgs {
     pub metrics_json: Option<String>,
     /// `--threads <n>`: overrides `S2S_THREADS`.
     pub threads: Option<usize>,
-    /// `--snapshot <path>`: checkpoint path (resumes if it exists);
-    /// overrides `S2S_SNAPSHOT_PATH`.
+    /// `--snapshot <path>`: checkpoint path (resumes if it exists).
     pub snapshot: Option<PathBuf>,
 }
 

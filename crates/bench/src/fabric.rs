@@ -33,7 +33,7 @@ use s2s_probe::campaign::lost_record;
 use s2s_probe::dataset::TraceLineWriter;
 use s2s_probe::fabric::{
     emit_shard, fnv64_bytes, shard_range, Frame, HeartbeatHandle, WorkerAssignment,
-    ENV_CKPT_DIR, ENV_MODE, ENV_SHARDS, FNV64_OFFSET,
+    ENV_CKPT_DIR, ENV_MODE, ENV_SHARDS, FNV64_OFFSET, HEARTBEAT_INTERVAL,
 };
 use s2s_probe::snapshot::{self, Parts};
 use s2s_probe::{
@@ -213,7 +213,7 @@ trait WorkerMode {
 fn encode(parts: &Parts<'_>, sinks: &[String]) -> io::Result<Vec<u8>> {
     s2s_obs::timed("fabric.encode", || {
         let mut bytes = Vec::new();
-        snapshot::write_parts(&mut bytes, parts, sinks, s2s_probe::env::snapshot_block())?;
+        snapshot::write_parts(&mut bytes, parts, sinks, snapshot::DEFAULT_BLOCK_TRACES)?;
         Ok(bytes)
     })
 }
@@ -298,7 +298,7 @@ fn run_worker<M: WorkerMode>(assign: WorkerAssignment, mode: M) -> i32 {
     }
 
     // Heartbeats cover the expensive part (world build + measurement).
-    let hb = HeartbeatHandle::start(assign.shard, s2s_probe::env::fabric_hb_interval());
+    let hb = HeartbeatHandle::start(assign.shard, HEARTBEAT_INTERVAL);
 
     let scenario = Scenario::from_env();
     let all_pairs = mode.pairs(&scenario);
@@ -846,7 +846,7 @@ mod tests {
                 shard_store.push(&base.view(i).to_record());
             }
             let mut want = Vec::new();
-            snapshot::write(&mut want, &shard_store, &[], s2s_probe::env::snapshot_block())
+            snapshot::write(&mut want, &shard_store, &[], snapshot::DEFAULT_BLOCK_TRACES)
                 .unwrap();
             assert!(s.lines.concat() == want, "shard {} payload", s.shard);
         }

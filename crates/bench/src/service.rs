@@ -34,11 +34,9 @@
 //! an answer waits at most for one epoch's fold, never for a measurement,
 //! an annotation or a checkpoint.
 //!
-//! Knobs (registered in `s2s_probe::env::KNOWN_KNOBS`, resolved here
-//! because their defaults are service policy): `S2S_SERVICE_CADENCE_MS`
-//! (wall-clock sleep between epochs, 0 = free-run),
-//! `S2S_SERVICE_SNAP_EVERY` (checkpoint cadence in epochs),
-//! `S2S_SERVICE_QUERY_BUDGET` (queries answered before refusal).
+//! One knob (registered in `s2s_probe::env::KNOWN_KNOBS`, resolved here
+//! because its default is service policy): `S2S_SERVICE_SNAP_EVERY`
+//! (checkpoint cadence in epochs).
 
 use crate::fabric::{self, store_digest};
 use crate::scenario::Scenario;
@@ -63,13 +61,6 @@ use std::time::Instant;
 /// answered `err query line too long` and skipped up to its newline.
 pub const MAX_QUERY_LINE: usize = 64 * 1024;
 
-/// Wall-clock sleep between service epochs: the `S2S_SERVICE_CADENCE_MS`
-/// knob, default 0 (free-run — simulated time needs no pacing; a nonzero
-/// cadence makes the daemon observable while it runs).
-pub fn service_cadence_ms() -> u64 {
-    s2s_types::env::var_u64("S2S_SERVICE_CADENCE_MS", 0)
-}
-
 /// Checkpoint cadence in epochs: the `S2S_SERVICE_SNAP_EVERY` knob when
 /// set to a valid integer ≥ 1, default 8 — a crash loses at most
 /// `snap_every - 1` epochs of work.
@@ -77,53 +68,29 @@ pub fn service_snap_every() -> usize {
     s2s_types::env::var_usize_at_least("S2S_SERVICE_SNAP_EVERY", 8, 1)
 }
 
-/// Queries one service run answers before refusing with `err budget`:
-/// the `S2S_SERVICE_QUERY_BUDGET` knob when set to a valid integer ≥ 1,
-/// default 4096. Exhaustion is reported through [`ExitCode::Query`] after
-/// the final snapshot still flushes.
-pub fn service_query_budget() -> usize {
-    s2s_types::env::var_usize_at_least("S2S_SERVICE_QUERY_BUDGET", 4096, 1)
-}
-
 /// The service knobs, resolved for `reproduce print-config` — they live
 /// here (not `s2s_probe::env`) because their defaults are service policy,
 /// not measurement-plane policy.
 pub fn service_knobs() -> Vec<ResolvedKnob> {
-    let set = |name: &str| s2s_types::env::var_raw(name).is_some();
-    let knob = |name: &'static str, value: String, default: &str, doc: &'static str| {
-        ResolvedKnob { name, value, default: default.to_string(), set: set(name), doc }
-    };
-    vec![
-        knob(
-            "S2S_SERVICE_CADENCE_MS",
-            service_cadence_ms().to_string(),
-            "0",
-            "wall-clock sleep between service epochs (0 = free-run)",
-        ),
-        knob(
-            "S2S_SERVICE_SNAP_EVERY",
-            service_snap_every().to_string(),
-            "8",
-            "service checkpoint cadence, epochs",
-        ),
-        knob(
-            "S2S_SERVICE_QUERY_BUDGET",
-            service_query_budget().to_string(),
-            "4096",
-            "queries a service run answers before refusing",
-        ),
-    ]
+    vec![ResolvedKnob {
+        name: "S2S_SERVICE_SNAP_EVERY",
+        value: service_snap_every().to_string(),
+        default: "8".to_string(),
+        set: s2s_types::env::var_raw("S2S_SERVICE_SNAP_EVERY").is_some(),
+        doc: "service checkpoint cadence, epochs",
+    }]
 }
 
-/// Service policy, from the `S2S_SERVICE_*` knobs plus the fault/retry
-/// configuration the batch campaign would use.
+/// Service policy: the checkpoint cadence, query budget and checkpoint
+/// path, plus the fault/retry configuration the batch campaign would use.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Sleep between epochs, ms (0 = free-run).
     pub cadence_ms: u64,
     /// Checkpoint every this many epochs.
     pub snap_every: usize,
-    /// Queries answered before `err budget`.
+    /// Queries answered before `err budget`; exhaustion is reported
+    /// through [`ExitCode::Query`] after the final snapshot still flushes.
     pub query_budget: usize,
     /// Checkpoint path (`None` = no persistence, crash loses everything).
     pub snapshot_path: Option<PathBuf>,
@@ -134,14 +101,16 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Resolves everything from the environment (`S2S_SERVICE_*`,
-    /// `S2S_FAULT_*`, `S2S_SNAPSHOT_PATH`).
+    /// The `reproduce serve` policy: free-running epochs, 4096 queries,
+    /// no checkpoint path (`--snapshot` sets one), and the checkpoint
+    /// cadence and fault profile from the environment
+    /// (`S2S_SERVICE_SNAP_EVERY`, `S2S_FAULT_*`).
     pub fn from_env() -> ServiceConfig {
         ServiceConfig {
-            cadence_ms: service_cadence_ms(),
+            cadence_ms: 0,
             snap_every: service_snap_every(),
-            query_budget: service_query_budget(),
-            snapshot_path: s2s_probe::env::snapshot_path(),
+            query_budget: 4096,
+            snapshot_path: None,
             profile: FaultProfile::from_env(),
             retry: RetryPolicy::default(),
         }
@@ -1501,7 +1470,7 @@ mod tests {
         lines.extend(profile_lines(svc.profiles()));
         assert_eq!(snap.sinks, lines);
         let mut want = Vec::new();
-        snapshot::write(&mut want, &svc.merged_store(), &lines, s2s_probe::env::snapshot_block())
+        snapshot::write(&mut want, &svc.merged_store(), &lines, snapshot::DEFAULT_BLOCK_TRACES)
             .unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), want, "the compacted file is one snapshot");
         assert_eq!(bytes, want.len() as u64);
@@ -1896,22 +1865,22 @@ mod tests {
         assert_eq!(v, 8);
         assert!(w.unwrap().contains("S2S_SERVICE_SNAP_EVERY"));
         let (v, w) = s2s_types::env::parse_checked(
-            "S2S_SERVICE_QUERY_BUDGET",
+            "S2S_SERVICE_SNAP_EVERY",
             Some("abc"),
-            4096usize,
+            8usize,
             |&v| v >= 1,
             "an integer >= 1",
         );
-        assert_eq!(v, 4096);
+        assert_eq!(v, 8);
         assert!(w.is_some());
         let (v, w) = s2s_types::env::parse_checked(
-            "S2S_SERVICE_CADENCE_MS",
+            "S2S_SERVICE_SNAP_EVERY",
             None,
-            0u64,
-            |_| true,
-            "an integer",
+            8usize,
+            |&v| v >= 1,
+            "an integer >= 1",
         );
-        assert_eq!(v, 0);
+        assert_eq!(v, 8);
         assert!(w.is_none());
         // Every service knob is registered with the typo detector.
         for k in service_knobs() {

@@ -7,8 +7,8 @@
 //! [`PingTimeline`](s2s_probe::PingTimeline):
 //!
 //! 1. *variation*: the 95th−5th spread comes from the profile's quantile
-//!    sketch (exact below the `S2S_SKETCH_EXACT` floor, within the rank
-//!    error bound of [`QuantileSketch::quantile`] above it),
+//!    sketch (exact below its exact-mode cap, within the rank error
+//!    bound of [`QuantileSketch::quantile`] above it),
 //! 2. *diurnal signal*: the PSD ratio comes from the profile's streamed
 //!    filled-series spectrum, which matches the FFT path to ~1e-6.
 //!

@@ -946,7 +946,7 @@ fn run_checkpointed<A>(
         }
         if whole > 0 {
             let parts: Vec<_> = stores.iter().map(|st| (&**st, 0..st.len())).collect();
-            snapshot::write_parts(&mut out, &parts, &sinks, crate::env::snapshot_block())?;
+            snapshot::write_parts(&mut out, &parts, &sinks, snapshot::DEFAULT_BLOCK_TRACES)?;
         }
         appending &= whole == block.len();
         report.merge(&block_report);

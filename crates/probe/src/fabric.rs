@@ -18,10 +18,10 @@
 //! records for its slots and the loss lands in
 //! [`CampaignReport::lost_slots`] and the coverage floors.
 //!
-//! A seeded fault plane ([`FabricFaultProfile`], `S2S_FABRIC_FAULT_*`)
-//! exercises every failure path deterministically: kill-after-k-pairs,
-//! stall (heartbeat silence), corrupt-frame (checksum mismatch), and
-//! plain nonzero exit.
+//! A seeded fault plane ([`FabricFaultProfile`], its plan from
+//! `S2S_FABRIC_FAULT_PLAN`) exercises every failure path
+//! deterministically: kill-after-k-pairs, stall (heartbeat silence),
+//! corrupt-frame (checksum mismatch), and plain nonzero exit.
 //!
 //! ## Protocol frames
 //!
@@ -274,11 +274,11 @@ impl Default for FabricFaultProfile {
 }
 
 impl FabricFaultProfile {
-    /// Reads the profile from the `S2S_FABRIC_FAULT_*` knobs through the
-    /// shared warn-and-default parsers.
+    /// The default profile with the plan read from the
+    /// `S2S_FABRIC_FAULT_PLAN` knob; a malformed plan warns and is
+    /// ignored. The seeded rates have no knob.
     pub fn from_env() -> FabricFaultProfile {
-        use s2s_types::env as tenv;
-        let plan = match tenv::var_raw("S2S_FABRIC_FAULT_PLAN") {
+        let plan = match s2s_types::env::var_raw("S2S_FABRIC_FAULT_PLAN") {
             None => Vec::new(),
             Some(raw) => match Self::parse_plan(&raw) {
                 Ok(p) => p,
@@ -288,14 +288,7 @@ impl FabricFaultProfile {
                 }
             },
         };
-        FabricFaultProfile {
-            seed: tenv::var_u64("S2S_FABRIC_FAULT_SEED", 0xFAB),
-            kill_rate: tenv::var_rate("S2S_FABRIC_FAULT_KILL", 0.0),
-            stall_rate: tenv::var_rate("S2S_FABRIC_FAULT_STALL", 0.0),
-            corrupt_rate: tenv::var_rate("S2S_FABRIC_FAULT_CORRUPT", 0.0),
-            exit_rate: tenv::var_rate("S2S_FABRIC_FAULT_EXIT", 0.0),
-            plan,
-        }
+        FabricFaultProfile { plan, ..FabricFaultProfile::default() }
     }
 
     /// Parses a fault plan: `;`-separated entries of the form
@@ -636,7 +629,10 @@ impl WorkerLauncher for ProcessLauncher {
     }
 }
 
-/// Coordinator policy knobs.
+/// How often a worker prints an `F|HB` frame while it computes.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Coordinator policy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FabricConfig {
     /// Worker processes in flight at once, ≥ 1.
@@ -686,33 +682,6 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// Builds the config for `workers` processes, with the retry budget
-    /// and timeouts resolved from `S2S_FABRIC_{RETRIES,TIMEOUT_MS,
-    /// BACKOFF_MS}` where set.
-    pub fn from_env(workers: usize) -> FabricConfig {
-        use s2s_types::env as tenv;
-        let d = FabricConfig::default();
-        FabricConfig {
-            workers: workers.max(1),
-            max_attempts: tenv::var_usize_at_least(
-                "S2S_FABRIC_RETRIES",
-                d.max_attempts as usize,
-                1,
-            ) as u32,
-            heartbeat_timeout: Duration::from_millis(tenv::var_u64(
-                "S2S_FABRIC_TIMEOUT_MS",
-                d.heartbeat_timeout.as_millis() as u64,
-            )),
-            backoff_base_ms: tenv::var_u64(
-                "S2S_FABRIC_BACKOFF_MS",
-                d.backoff_base_ms as u64,
-            ) as f64,
-            backoff_cap_ms: d.backoff_cap_ms,
-            seed: tenv::var_u64("S2S_FABRIC_FAULT_SEED", d.seed),
-            max_payload_bytes: d.max_payload_bytes,
-        }
-    }
-
     /// This config with [`max_payload_bytes`](FabricConfig::max_payload_bytes)
     /// derived for shards of at most `slots` campaign slots:
     /// [`MAX_SLOT_PAYLOAD_BYTES`] per slot plus one frame for the

@@ -70,7 +70,8 @@ impl FaultProfile {
     /// shared warn-and-default parsers in [`s2s_types::env`]: unset knobs
     /// silently take the default, malformed or out-of-range values print
     /// one warning to stderr and take the default. The full knob table
-    /// lives in [`crate::env`].
+    /// lives in [`crate::env`]. `corrupt_rate` has no knob (only archive
+    /// exports apply it) and stays at its default.
     pub fn from_env() -> FaultProfile {
         use s2s_types::env as tenv;
         let d = FaultProfile::default();
@@ -95,7 +96,7 @@ impl FaultProfile {
             drop_rate: tenv::var_rate("S2S_FAULT_DROP", d.drop_rate),
             stuck_rate: tenv::var_rate("S2S_FAULT_STUCK", d.stuck_rate),
             truncate_rate: tenv::var_rate("S2S_FAULT_TRUNC", d.truncate_rate),
-            corrupt_rate: tenv::var_rate("S2S_FAULT_CORRUPT", d.corrupt_rate),
+            corrupt_rate: d.corrupt_rate,
         }
     }
 }

@@ -50,7 +50,7 @@
 //!   stdout protocol, reaps hung or crashed workers by heartbeat timeout,
 //!   retries with seeded backoff and worker-local checkpoint resume, and
 //!   merges shards deterministically — byte-identical to one process
-//!   under any seeded crash schedule (`S2S_FABRIC_FAULT_*`).
+//!   under any seeded crash schedule (`S2S_FABRIC_FAULT_PLAN`).
 
 pub mod builder;
 pub mod campaign;

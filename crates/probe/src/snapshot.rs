@@ -36,8 +36,8 @@
 //!   plus the 4- or 16-byte address per entry.
 //! * `SEQ` — the hop-sequence arena: the flat `u32` id array plus the
 //!   per-sequence end offsets.
-//! * `BLOCK` — a batch of `S2S_SNAPSHOT_BLOCK` traces (default
-//!   [`DEFAULT_BLOCK_TRACES`]): every per-trace column as a raw array,
+//! * `BLOCK` — a batch of traces ([`DEFAULT_BLOCK_TRACES`] when written
+//!   through the file helpers): every per-trace column as a raw array,
 //!   presence/boolean bitsets packed per block, per-trace hop counts, and
 //!   the block's flat hop-RTT slots. Blocks are the unit of loss: a torn
 //!   or bit-flipped block degrades to `count` skipped traces, everything
@@ -68,7 +68,7 @@
 //! Snapshot::options()            strict, materialized (the default)
 //!     .lossy(true)               damage degrades to counted skips
 //!     .stream(true)              out-of-core: bounded batches
-//!     .block_budget(n)           reuse-buffer cap (default S2S_SNAPSHOT_BUDGET)
+//!     .block_budget(n)           reuse-buffer cap (default DEFAULT_BLOCK_TRACES)
 //!     .open(path)                -> SnapshotReader
 //! ```
 //!
@@ -108,7 +108,8 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"S2SNAP01";
 /// Current format version (bump on any layout change).
 pub const VERSION: u32 = 1;
-/// Default traces per `BLOCK` segment (the `S2S_SNAPSHOT_BLOCK` knob).
+/// Traces per `BLOCK` segment the file and log writers use, and the
+/// default streamed-read batch budget ([`SnapshotOptions::block_budget`]).
 pub const DEFAULT_BLOCK_TRACES: usize = 4096;
 
 const TAG_ADDR: u32 = 1;
@@ -546,11 +547,11 @@ fn replace_file(
     Ok(bytes)
 }
 
-/// [`write()`] to a file path, block size from the `S2S_SNAPSHOT_BLOCK` knob.
+/// [`write()`] to a file path in blocks of [`DEFAULT_BLOCK_TRACES`].
 /// The file is written to a `.tmp` sibling and renamed into place, so a
 /// crash mid-write leaves no half-snapshot under the final name.
 pub fn write_file(path: &Path, store: &TraceStore, sinks: &[String]) -> io::Result<u64> {
-    replace_file(path, |w| write(w, store, sinks, crate::env::snapshot_block()))
+    replace_file(path, |w| write(w, store, sinks, DEFAULT_BLOCK_TRACES))
 }
 
 /// Writes an already-encoded snapshot, given as consecutive byte chunks,
@@ -565,7 +566,7 @@ pub fn write_file_bytes(path: &Path, chunks: &[Vec<u8>]) -> io::Result<u64> {
 /// [`write_parts`] to a file path, written and renamed into place as
 /// [`write_file`] does.
 pub fn write_file_parts(path: &Path, parts: &Parts<'_>, sinks: &[String]) -> io::Result<u64> {
-    replace_file(path, |w| write_parts(w, parts, sinks, crate::env::snapshot_block()))
+    replace_file(path, |w| write_parts(w, parts, sinks, DEFAULT_BLOCK_TRACES))
 }
 
 /// Appends the snapshot of `parts` (plus sink lines, see [`write_parts`])
@@ -590,7 +591,7 @@ pub fn append_file(
     file.set_len(at)?;
     file.seek(io::SeekFrom::Start(at))?;
     let mut w = io::BufWriter::new(file);
-    let bytes = write_parts(&mut w, parts, sinks, crate::env::snapshot_block())?;
+    let bytes = write_parts(&mut w, parts, sinks, DEFAULT_BLOCK_TRACES)?;
     w.into_inner().map_err(|e| e.into_error())?.sync_data()?;
     Ok(bytes)
 }
@@ -854,7 +855,7 @@ impl Snapshot {
 /// holds the whole file — [`SnapshotReader::into_snapshot`] is free).
 /// `.lossy(true)` degrades damage to counted skips; `.stream(true)` caps
 /// each [`SnapshotReader::next_batch`] at the block budget
-/// (`.block_budget(n)`, default the `S2S_SNAPSHOT_BUDGET` knob) so
+/// (`.block_budget(n)`, default [`DEFAULT_BLOCK_TRACES`]) so
 /// resident bytes stay O(arena + one batch).
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotOptions {
@@ -880,7 +881,7 @@ impl SnapshotOptions {
 
     /// Cap (in traces) on the reader's reuse buffer when streaming; a
     /// batch ends at the first `BLOCK` boundary at or past the budget.
-    /// Defaults to the `S2S_SNAPSHOT_BUDGET` knob. Clamped to ≥ 1.
+    /// Defaults to [`DEFAULT_BLOCK_TRACES`]. Clamped to ≥ 1.
     pub fn block_budget(mut self, n: usize) -> SnapshotOptions {
         self.block_budget = Some(n.max(1));
         self
@@ -888,7 +889,7 @@ impl SnapshotOptions {
 
     fn budget(&self) -> usize {
         if self.stream {
-            self.block_budget.unwrap_or_else(crate::env::snapshot_budget)
+            self.block_budget.unwrap_or(DEFAULT_BLOCK_TRACES)
         } else {
             usize::MAX
         }

@@ -24,7 +24,10 @@
 //! and the bit-identical-resume guarantee).
 
 use crate::campaign::PingTimeline;
-use s2s_stats::sketch::{DiurnalProfile, FilledSpectrum, QuantileSketch, StreamingMoments};
+use s2s_stats::sketch::{
+    DiurnalProfile, FilledSpectrum, QuantileSketch, StreamingMoments, DEFAULT_SKETCH_CAPACITY,
+    DEFAULT_SKETCH_EXACT,
+};
 use s2s_types::{ClusterId, Coverage, Protocol, SimDuration, SimTime, MINUTES_PER_DAY};
 
 /// A streaming fold over a ping campaign's samples.
@@ -261,8 +264,7 @@ impl PairProfile {
 /// workload.
 ///
 /// Shaped by the campaign schedule (slot count, cadence) plus the sketch
-/// knobs (`S2S_SKETCH_CENTROIDS`, `S2S_SKETCH_EXACT` — see
-/// [`crate::env::sketch_centroids`]).
+/// shape (centroid capacity and exact-mode cap).
 #[derive(Clone, Debug)]
 pub struct PairProfileSink {
     start: SimTime,
@@ -274,10 +276,10 @@ pub struct PairProfileSink {
 }
 
 impl PairProfileSink {
-    /// A sink for `cfg`'s schedule, sketch shape from the `S2S_SKETCH_*`
-    /// knobs.
+    /// A sink for `cfg`'s schedule with the default sketch shape
+    /// ([`DEFAULT_SKETCH_CAPACITY`], [`DEFAULT_SKETCH_EXACT`]).
     pub fn for_config(cfg: &crate::campaign::CampaignConfig) -> PairProfileSink {
-        PairProfileSink::with_shape(cfg, crate::env::sketch_centroids(), crate::env::sketch_exact())
+        PairProfileSink::with_shape(cfg, DEFAULT_SKETCH_CAPACITY, DEFAULT_SKETCH_EXACT)
     }
 
     /// A sink for `cfg`'s schedule with an explicit sketch shape.

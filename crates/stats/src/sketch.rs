@@ -25,12 +25,12 @@
 
 use crate::percentile::percentile_sorted;
 
-/// Default centroid capacity of a [`QuantileSketch`] (the `S2S_SKETCH_CENTROIDS`
-/// knob resolves to this when unset).
+/// Default centroid capacity of a [`QuantileSketch`] (what the streamed
+/// per-pair profiles use).
 pub const DEFAULT_SKETCH_CAPACITY: usize = 256;
 
-/// Default exact-mode cap of a [`QuantileSketch`] (the `S2S_SKETCH_EXACT`
-/// knob resolves to this when unset).
+/// Default exact-mode cap of a [`QuantileSketch`] (what the streamed
+/// per-pair profiles use).
 pub const DEFAULT_SKETCH_EXACT: usize = 128;
 
 // ---------------------------------------------------------------------------

@@ -179,11 +179,11 @@ mod tests {
     #[test]
     fn minimum_is_enforced_with_warning() {
         let (v, w) =
-            parse_checked("S2S_SNAPSHOT_BLOCK", Some("0"), 9usize, |&v| v >= 1, "an integer >= 1");
+            parse_checked("S2S_CLUSTERS", Some("0"), 9usize, |&v| v >= 1, "an integer >= 1");
         assert_eq!(v, 9);
-        assert!(w.unwrap().contains("S2S_SNAPSHOT_BLOCK=\"0\""));
+        assert!(w.unwrap().contains("S2S_CLUSTERS=\"0\""));
         let (v, w) =
-            parse_checked("S2S_SNAPSHOT_BLOCK", Some("3"), 9usize, |&v| v >= 1, "an integer >= 1");
+            parse_checked("S2S_CLUSTERS", Some("3"), 9usize, |&v| v >= 1, "an integer >= 1");
         assert_eq!(v, 3);
         assert!(w.is_none());
     }

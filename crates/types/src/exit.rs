@@ -41,7 +41,8 @@ pub enum ExitCode {
     /// error, broken query transport).
     Service = 5,
     /// A scripted query batch could not be honored: the per-run query
-    /// budget (`S2S_SERVICE_QUERY_BUDGET`) ran out before the script did.
+    /// budget (4096 queries for `reproduce serve`) ran out before the
+    /// script did.
     Query = 6,
 }
 

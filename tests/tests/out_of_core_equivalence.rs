@@ -156,14 +156,19 @@ proptest! {
         prop_assert_eq!(streamed.stats(), reference.stats());
         prop_assert_eq!(streamed.to_records(), reference.to_records());
 
-        // Chunked iteration reconstructs the records in stream order.
+        // Chunked iteration reconstructs the records in stream order, and
+        // the digest folded batch by batch at this budget (what `reproduce`
+        // prints for a reopened snapshot) equals the merged store's.
         let mut rebuilt = Vec::new();
+        let mut digest = s2s_probe::fabric::FNV64_OFFSET;
         for p in &paths {
             let mut reader = options.open(p).expect("streamed open");
             while let Some(batch) = reader.next_batch().expect("streamed batch") {
                 rebuilt.extend(batch.to_records());
+                digest = fabric::store_digest_fold(digest, batch);
             }
         }
         prop_assert_eq!(rebuilt, reference.to_records());
+        prop_assert_eq!(digest, store_digest(&reference));
     }
 }
