@@ -58,6 +58,16 @@ for t in 1 3; do
     test -n "$one_digest" && test "$t_digest" = "$one_digest"
 done
 
+echo "==> golden whole-run output: reproduce run at --threads 1 and 2 matches tests/golden"
+# Every figure, table, extension and the fault sweep at smoke scale,
+# timing and thread-dependent cache lines filtered out; a change that
+# moves a paper number shows as a diff of tests/golden/reproduce_smoke.txt.
+for t in 1 2; do
+    S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
+        cargo run -q --release -p s2s-bench --bin reproduce -- run --threads $t |
+        tests/golden/filter.sh | diff tests/golden/reproduce_smoke.txt -
+done
+
 echo "==> fabric crash-matrix smoke: 4 workers, kill+crash+corrupt schedule, byte-identity"
 # The same experiment sharded over 4 worker subprocesses, with a seeded
 # fault plan that SIGKILLs shard 1 mid-campaign, crashes shard 3 on its
