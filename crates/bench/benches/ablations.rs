@@ -9,8 +9,10 @@ use s2s_core::annotate::annotate;
 use s2s_core::bestpath::best_path_analysis;
 use s2s_core::congestion::{detect, DetectParams};
 use s2s_core::shortterm::subsample;
-use s2s_core::timeline::TimelineBuilder;
-use s2s_probe::{trace, Campaign, CampaignConfig, TraceOptions, TracerouteMode};
+use s2s_core::Analysis;
+use s2s_probe::{
+    trace, Campaign, CampaignConfig, FaultProfile, RetryPolicy, TraceOptions, TracerouteMode,
+};
 use s2s_types::{Protocol, SimDuration, SimTime};
 use std::sync::OnceLock;
 
@@ -120,20 +122,7 @@ fn ablate_cadence(c: &mut Criterion) {
         protocols: vec![Protocol::V4],
         threads: 4,
     };
-    let map = &s.ip2asn;
-    let tls: Vec<_> = Campaign::new(cfg)
-        .run_traceroute(
-            &s.net,
-            &pairs,
-            TraceOptions::default(),
-            |a, b, p| TimelineBuilder::new(a, b, p, map),
-            |b, rec| b.push(rec),
-        )
-        .expect("in-memory campaign cannot fail")
-        .0
-        .into_iter()
-        .map(TimelineBuilder::finish)
-        .collect();
+    let (tls, _) = s.collect_timelines(&Campaign::new(cfg), &pairs, |_, _| TraceOptions::default());
     c.bench_function("ablate/cadence/all_30min", |b| {
         b.iter(|| {
             tls.iter()
@@ -190,7 +179,9 @@ fn ablate_imputation(c: &mut Criterion) {
 fn ablate_percentile(c: &mut Criterion) {
     let s = scenario();
     let pairs = s.sample_pair_list(12, 0xBE57);
-    let data = s.long_term_timelines(&pairs);
+    let (store, _) =
+        s.long_term_store_faulty(&pairs, &FaultProfile::default(), &RetryPolicy::default());
+    let data = Analysis::new(&store).timelines(&s.ip2asn);
     c.bench_function("ablate/percentile/full_analysis", |b| {
         b.iter(|| {
             data.iter()

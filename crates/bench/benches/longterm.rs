@@ -1,6 +1,6 @@
 //! Long-term campaign bench: sequential reference runner vs the
-//! epoch-memoized, dst-batched, parallel runner — plus the analysis plane,
-//! legacy record-at-a-time vs columnar.
+//! epoch-memoized, dst-batched, parallel runner — plus the columnar
+//! analysis plane.
 //!
 //! Times both runners over the same world and pair list, asserts the two
 //! datasets are byte-identical (the tentpole invariant — the fast path is
@@ -9,10 +9,10 @@
 //! A third timed pass reruns the fast path with a metrics registry
 //! installed, so the JSON also records the observability overhead (the
 //! instrumented run must stay byte-identical and within a few percent).
-//! The `analysis` section times the same corpus through the legacy
-//! `TimelineBuilder` path and the columnar `TraceStore` path (single- and
-//! multi-threaded), records arena vs serialized dataset bytes and the hop
-//! dedup ratio, and times the line importer. The `persistence` section
+//! The `analysis` section times the store build and the columnar
+//! `TraceStore` analysis (single- and multi-threaded, asserted identical),
+//! records arena vs serialized dataset bytes and the hop dedup ratio, and
+//! times the line importer. The `persistence` section
 //! writes the corpus as a binary columnar snapshot and races reopening it
 //! against rebuilding the store from archived lines — digests asserted
 //! identical, open-vs-import speedup asserted >= 10x, write GB/s
@@ -26,14 +26,13 @@
 //! * `S2S_BENCH_QUICK=1` — a smaller world and a single timing sample, for
 //!   CI smoke runs (minutes → seconds).
 //! * `S2S_THREADS` — worker threads for the parallel runner and the
-//!   columnar analysis shards (the reference runner and the legacy
-//!   analysis path are single-threaded by construction).
+//!   columnar analysis shards (the reference runner is single-threaded by
+//!   construction).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use s2s_bench::{Scale, Scenario};
 use s2s_core::congestion::DetectParams;
 use s2s_core::Analysis;
-use s2s_core::timeline::{TimelineBuilder, TraceTimeline};
 use s2s_probe::dataset::{traceroute_from_line, traceroute_to_line};
 use s2s_probe::{
     Campaign, CampaignConfig, PairProfile, PairProfileSink, PingTimeline, TraceOptions,
@@ -112,7 +111,7 @@ fn time_samples<T>(n: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
 }
 
 /// The corpus for the analysis bench: the campaign's records grouped per
-/// (pair, protocol) accumulator, exactly what the legacy builders consume.
+/// (pair, protocol) accumulator.
 fn record_groups(w: &BenchWorld) -> Vec<Vec<TracerouteRecord>> {
     Campaign::new(w.cfg.clone())
         .run_traceroute_with(
@@ -124,27 +123,6 @@ fn record_groups(w: &BenchWorld) -> Vec<Vec<TracerouteRecord>> {
         )
         .expect("in-memory campaign cannot fail")
         .0
-}
-
-/// The legacy analysis path: annotate record-by-record into streaming
-/// builders, one per group. Consumes its input (`push` takes records by
-/// value), so callers pre-clone per timing sample to keep the clone out of
-/// the measurement.
-fn legacy_analyze(
-    groups: Vec<Vec<TracerouteRecord>>,
-    map: &s2s_bgp::Ip2AsnMap,
-) -> Vec<TraceTimeline> {
-    groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|g| {
-            let mut b = TimelineBuilder::new(g[0].src, g[0].dst, g[0].proto, map);
-            for r in g {
-                b.push(r);
-            }
-            b.finish()
-        })
-        .collect()
 }
 
 fn bench_longterm(c: &mut Criterion) {
@@ -192,17 +170,10 @@ fn bench_longterm(c: &mut Criterion) {
         cs.evictions
     );
 
-    // ---- Analysis plane: legacy record-at-a-time vs columnar ----
+    // ---- Analysis plane: store build, columnar timelines ----
     let groups = record_groups(&w);
     let map = &w.scenario.ip2asn;
     let analysis_samples = if quick() { 3 } else { 5 };
-
-    // Pre-clone one input set per timing sample so the legacy side's
-    // by-value `push` doesn't charge the clone to the measurement.
-    let mut inputs: Vec<Vec<Vec<TracerouteRecord>>> =
-        (0..analysis_samples).map(|_| groups.clone()).collect();
-    let (t_legacy, legacy_tls) =
-        time_samples(analysis_samples, || legacy_analyze(inputs.pop().unwrap(), map));
 
     let (t_build, store) = time_samples(analysis_samples, || {
         let mut st = TraceStore::new();
@@ -219,14 +190,9 @@ fn bench_longterm(c: &mut Criterion) {
     let (t_mt, mt_tls) =
         time_samples(analysis_samples, || Analysis::new(&store).threads(threads).timelines(map));
     assert_eq!(
-        format!("{legacy_tls:?}"),
         format!("{columnar_tls:?}"),
-        "columnar analysis must reproduce the legacy timelines byte-for-byte"
-    );
-    assert_eq!(
-        format!("{legacy_tls:?}"),
         format!("{mt_tls:?}"),
-        "multi-threaded columnar analysis must be byte-identical too"
+        "multi-threaded columnar analysis must be byte-identical"
     );
 
     let stats = store.stats();
@@ -237,10 +203,6 @@ fn bench_longterm(c: &mut Criterion) {
         .sum();
     let bytes_ratio = serialized_bytes as f64 / stats.arena_bytes.max(1) as f64;
     let columnar_total = t_build + t_columnar;
-    let analysis_speedup =
-        t_legacy.as_secs_f64() / t_columnar.as_secs_f64().max(1e-9);
-    let total_speedup =
-        t_legacy.as_secs_f64() / columnar_total.as_secs_f64().max(1e-9);
 
     // Importer micro-bench: the single-pass `|`-split parser over the full
     // serialized corpus (it used to collect a per-line field vector).
@@ -433,8 +395,7 @@ fn bench_longterm(c: &mut Criterion) {
     );
 
     println!(
-        "analysis: legacy {t_legacy:?}, columnar {t_columnar:?} \
-         ({analysis_speedup:.2}x; {total_speedup:.2}x incl. {t_build:?} store build), \
+        "analysis: columnar {t_columnar:?} (+ {t_build:?} store build), \
          {threads} threads {t_mt:?}; arena {} B vs {serialized_bytes} B serialized \
          ({bytes_ratio:.2}x), dedup {:.2}x ({} addrs, {} hop seqs, {} traces); \
          importer {t_import:?} ({ns_per_line:.0} ns/line)",
@@ -733,12 +694,9 @@ fn bench_longterm(c: &mut Criterion) {
          \"epochs\": {},\n  \"epoch_configs\": {},\n  \
          \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_evictions\": {},\n  \
          \"analysis\": {{\n    \"samples\": {},\n    \
-         \"legacy_seconds\": {:.6},\n    \
          \"store_build_seconds\": {:.6},\n    \
          \"columnar_seconds\": {:.6},\n    \
          \"columnar_total_seconds\": {:.6},\n    \
-         \"single_thread_speedup\": {:.3},\n    \
-         \"total_speedup\": {:.3},\n    \
          \"threads\": {},\n    \"mt_seconds\": {:.6},\n    \
          \"timelines\": {},\n    \"identical\": true,\n    \
          \"traces\": {},\n    \"distinct_addrs\": {},\n    \
@@ -820,15 +778,12 @@ fn bench_longterm(c: &mut Criterion) {
         cs.misses,
         cs.evictions,
         analysis_samples,
-        t_legacy.as_secs_f64(),
         t_build.as_secs_f64(),
         t_columnar.as_secs_f64(),
         columnar_total.as_secs_f64(),
-        analysis_speedup,
-        total_speedup,
         threads,
         t_mt.as_secs_f64(),
-        legacy_tls.len(),
+        columnar_tls.len(),
         stats.traces,
         stats.distinct_addrs,
         stats.distinct_seqs,

@@ -2,10 +2,10 @@
 
 use crate::scenario::Scenario;
 use s2s_core::changes::detect_changes;
-use s2s_core::timeline::{TimelineBuilder, TraceTimeline};
-use s2s_probe::{trace, TraceOptions};
+use s2s_core::timeline::TraceTimeline;
+use s2s_probe::{Campaign, CampaignConfig, TraceOptions};
 use s2s_stats::quantiles;
-use s2s_types::{ClusterId, Protocol, SimDuration, SimTime};
+use s2s_types::{ClusterId, SimDuration, SimTime};
 
 /// Fig. 1 headline numbers.
 #[derive(Clone, Debug)]
@@ -112,27 +112,12 @@ pub fn fig1(scenario: &Scenario, months: u32) -> Option<Fig1Result> {
     // medians move the most — the paper's figure is a cherry-picked pair,
     // and the cherry must be picked on what the measurement actually shows.
     let candidates = pick_example_pairs(scenario, 8);
-    let trace_pair = |src: ClusterId, dst: ClusterId| -> Vec<TraceTimeline> {
-        [Protocol::V4, Protocol::V6]
-            .into_iter()
-            .map(|proto| {
-                let mut b = TimelineBuilder::new(src, dst, proto, &scenario.ip2asn);
-                let mut t = SimTime::T0;
-                while t < SimTime::from_days(days) {
-                    b.push(trace(
-                        &scenario.net,
-                        src,
-                        dst,
-                        proto,
-                        t,
-                        TraceOptions::default(),
-                    ));
-                    t += SimDuration::from_hours(3);
-                }
-                b.finish()
-            })
-            .collect()
-    };
+    // One (v4, v6) timeline pair per candidate, in candidate order.
+    let (timelines, _) = scenario.collect_timelines(
+        &Campaign::new(CampaignConfig::long_term(days)),
+        &candidates,
+        |_, _| TraceOptions::default(),
+    );
     // Score a candidate by the *impact* of its sub-optimal paths: the
     // paper's Fig. 1a pair spends weeks on a detour 100+ ms above the
     // baseline. delta × prevalence rewards exactly that.
@@ -146,9 +131,8 @@ pub fn fig1(scenario: &Scenario, months: u32) -> Option<Fig1Result> {
             })
             .unwrap_or(0.0)
     };
-    let mut best: Option<(ClusterId, ClusterId, Vec<TraceTimeline>, f64)> = None;
-    for (src, dst) in candidates {
-        let tls = trace_pair(src, dst);
+    let mut best: Option<(ClusterId, ClusterId, &[TraceTimeline], f64)> = None;
+    for (&(src, dst), tls) in candidates.iter().zip(timelines.chunks(2)) {
         let score = impact(&tls[0]);
         println!(
             "  candidate {} -> {}: detour impact {score:.1} ms·prevalence",

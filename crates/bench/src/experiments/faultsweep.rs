@@ -11,10 +11,9 @@
 
 use crate::scenario::Scenario;
 use s2s_core::changes::detect_changes_checked;
-use s2s_core::timeline::{TimelineBuilder, TraceTimeline};
 use s2s_probe::{Campaign, CampaignConfig, FaultProfile, RetryPolicy, TraceOptions};
 use s2s_stats::Ecdf;
-use s2s_types::{Coverage, SimDuration, SimTime};
+use s2s_types::Coverage;
 
 use super::longterm::MIN_TIMELINE_COVERAGE;
 
@@ -35,28 +34,6 @@ pub struct FaultSweepRow {
     pub refused_timelines: usize,
 }
 
-fn sweep_campaign(
-    scenario: &Scenario,
-    pairs: &[(s2s_types::ClusterId, s2s_types::ClusterId)],
-    cfg: &CampaignConfig,
-    profile: &FaultProfile,
-    retry: &RetryPolicy,
-) -> (Vec<TraceTimeline>, s2s_probe::CampaignReport) {
-    let map = &scenario.ip2asn;
-    let (builders, report) = Campaign::new(cfg.clone())
-        .faults(*profile)
-        .retry(*retry)
-        .run_traceroute(
-            &scenario.net,
-            pairs,
-            TraceOptions::default(),
-            |s, d, p| TimelineBuilder::new(s, d, p, map),
-            |b, rec| b.push(rec),
-        )
-        .expect("in-memory campaign cannot fail");
-    (builders.into_iter().map(TimelineBuilder::finish).collect(), report)
-}
-
 /// Runs the sweep and prints the stability table.
 pub fn fault_sweep(scenario: &Scenario) -> Vec<FaultSweepRow> {
     // A bounded slice of the long-term campaign: enough samples per
@@ -64,13 +41,6 @@ pub fn fault_sweep(scenario: &Scenario) -> Vec<FaultSweepRow> {
     // four loss rates.
     let pairs = scenario.sample_pair_list((scenario.scale.pairs / 2).clamp(8, 40), 0xFA17);
     let days = scenario.scale.days.clamp(10, 45);
-    let cfg = CampaignConfig {
-        start: SimTime::T0,
-        end: SimTime::from_days(days),
-        interval: SimDuration::from_hours(3),
-        protocols: vec![s2s_types::Protocol::V4, s2s_types::Protocol::V6],
-        threads: s2s_probe::env::threads(),
-    };
 
     println!(
         "FAULT SWEEP — figure stability under probe loss ({} directed pairs, {days} days)",
@@ -85,15 +55,14 @@ pub fn fault_sweep(scenario: &Scenario) -> Vec<FaultSweepRow> {
     let mut rows = Vec::new();
     for &drop_rate in &[0.0, 0.05, 0.10, 0.20] {
         let profile = FaultProfile { drop_rate, ..FaultProfile::default() };
+        let campaign = Campaign::new(CampaignConfig::long_term(days)).faults(profile);
         let (timelines, report) =
-            sweep_campaign(scenario, &pairs, &cfg, &profile, &RetryPolicy::default());
-        let (_, report_no_retry) = sweep_campaign(
-            scenario,
-            &pairs,
-            &cfg,
-            &profile,
-            &RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
-        );
+            scenario.collect_timelines(&campaign, &pairs, |_, _| TraceOptions::default());
+        // The single-try pass only reports what the plane delivered.
+        let (_, report_no_retry) = campaign
+            .retry(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() })
+            .run_traceroute(&scenario.net, &pairs, TraceOptions::default(), |_, _, _| (), |_, _| {})
+            .expect("in-memory campaign cannot fail");
 
         let mut refused = 0usize;
         let mut single = 0usize;

@@ -14,8 +14,9 @@ pub mod shortterm;
 use crate::scenario::Scenario;
 use s2s_core::timeline::TraceTimeline;
 use s2s_core::Analysis;
+use s2s_bgp::Ip2AsnMap;
 use s2s_probe::store::StoreStats;
-use s2s_probe::{CampaignReport, FaultProfile, RetryPolicy};
+use s2s_probe::{CampaignReport, FaultProfile, RetryPolicy, TraceStore};
 use s2s_types::{ClusterId, Coverage};
 
 /// The long-term data set shared by Table 1 and Figs. 2–6 and 10.
@@ -29,8 +30,7 @@ pub struct LongTermData {
     /// the default quiet fault profile).
     pub report: CampaignReport,
     /// Intern-table statistics of the columnar arena the corpus passed
-    /// through, when collected via the columnar plane (`None` on the legacy
-    /// record-at-a-time path).
+    /// through (`None` on the record-at-a-time reference path).
     pub arena: Option<StoreStats>,
 }
 
@@ -42,24 +42,31 @@ impl LongTermData {
         LongTermData::collect_with(scenario, &FaultProfile::from_env())
     }
 
-    /// [`LongTermData::collect`] with an explicit fault profile. Collection
-    /// goes through the columnar plane: records intern into a
-    /// [`s2s_probe::TraceStore`] and the sharded analysis driver (thread
-    /// count from `S2S_THREADS` / `--threads`) produces the timelines —
-    /// byte-identical to the pre-columnar record-at-a-time path, which the
-    /// equivalence suite pins via
-    /// [`Scenario::long_term_timelines_faulty`].
+    /// [`LongTermData::collect`] with an explicit fault profile, through
+    /// the columnar collector ([`Scenario::long_term_store_faulty`]).
     pub fn collect_with(scenario: &Scenario, profile: &FaultProfile) -> LongTermData {
         let pairs = scenario.sample_pair_list(scenario.scale.pairs / 2, 0x10e6);
         let (store, report) =
             scenario.long_term_store_faulty(&pairs, profile, &RetryPolicy::default());
-        let timelines = Analysis::new(&store).timelines(&scenario.ip2asn);
+        LongTermData::from_store(pairs, &store, report, &scenario.ip2asn)
+    }
+
+    /// The data set of a collected corpus: its timelines from the sharded
+    /// columnar analysis (thread count from `S2S_THREADS` / `--threads`,
+    /// byte-identical at every count) and its arena statistics.
+    pub fn from_store(
+        pairs: Vec<(ClusterId, ClusterId)>,
+        store: &TraceStore,
+        report: CampaignReport,
+        map: &Ip2AsnMap,
+    ) -> LongTermData {
+        let timelines = Analysis::new(store).timelines(map);
         LongTermData { pairs, timelines, report, arena: Some(store.stats()) }
     }
 
-    /// The pre-columnar collection path: annotate record-by-record into
-    /// streaming [`s2s_core::TimelineBuilder`]s. Test-only equivalence
-    /// baseline; production collection is always columnar.
+    /// The record-at-a-time reference collection
+    /// ([`Scenario::long_term_timelines_faulty`]): the baseline the
+    /// columnar collection is tested against.
     #[cfg(test)]
     pub fn collect_legacy_with(scenario: &Scenario, profile: &FaultProfile) -> LongTermData {
         let pairs = scenario.sample_pair_list(scenario.scale.pairs / 2, 0x10e6);

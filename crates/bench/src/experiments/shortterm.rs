@@ -3,7 +3,6 @@
 use crate::render::print_ecdf;
 use crate::scenario::Scenario;
 use s2s_core::shortterm::CadenceComparison;
-use s2s_core::timeline::TimelineBuilder;
 use s2s_probe::{Campaign, CampaignConfig, TraceOptions};
 use s2s_types::{SimDuration, SimTime};
 
@@ -22,31 +21,14 @@ pub struct Fig7Result {
 /// pair sample and compares best-path deltas at both cadences.
 pub fn fig7(scenario: &Scenario, days: u32, start: SimTime) -> Fig7Result {
     let pairs = scenario.sample_pair_list(scenario.scale.cong_pairs.max(10), 0xF197);
-    let cfg = CampaignConfig {
-        start,
-        end: start + SimDuration::from_days(days),
-        interval: SimDuration::from_minutes(30),
-        protocols: vec![s2s_types::Protocol::V4, s2s_types::Protocol::V6],
-        threads: s2s_probe::env::threads(),
-    };
-    let map = &scenario.ip2asn;
-    let (timelines, _) = Campaign::new(cfg)
-        .run_traceroute(
-            &scenario.net,
-            &pairs,
-            TraceOptions::default(),
-            |s, d, p| TimelineBuilder::new(s, d, p, map),
-            |b, rec| b.push(rec),
-        )
-        .expect("in-memory campaign cannot fail");
+    let campaign = Campaign::new(CampaignConfig::focused_traceroute(start, days));
+    let (timelines, _) =
+        scenario.collect_timelines(&campaign, &pairs, |_, _| TraceOptions::default());
     let mut comp = CadenceComparison::default();
     let mut n = 0;
-    for b in timelines {
-        let tl = b.finish();
-        if tl.usable_samples() > 0 {
-            comp.add(&tl, SimDuration::from_minutes(30), SimDuration::from_hours(3));
-            n += 1;
-        }
+    for tl in timelines.iter().filter(|tl| tl.usable_samples() > 0) {
+        comp.add(tl, SimDuration::from_minutes(30), SimDuration::from_hours(3));
+        n += 1;
     }
     println!("FIG 7 — best-path deltas at 30-minute vs 3-hour cadence ({n} timelines)");
     print_ecdf("Δ10th pct, all samples", &comp.p10_all, 9);

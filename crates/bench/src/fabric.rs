@@ -28,7 +28,6 @@
 
 use crate::experiments::LongTermData;
 use crate::scenario::Scenario;
-use s2s_core::Analysis;
 use s2s_probe::campaign::lost_record;
 use s2s_probe::dataset::TraceLineWriter;
 use s2s_probe::fabric::{
@@ -493,9 +492,7 @@ pub fn collect_longterm_fabric<L: WorkerLauncher>(
         outcome.stats.publish(&reg, &outcome.shards);
     }
     let digest = s2s_obs::timed("dataset.digest", || store_digest(&store));
-    let timelines = Analysis::new(&store).timelines(&scenario.ip2asn);
-    let data =
-        LongTermData { pairs, timelines, report, arena: Some(store.stats()) };
+    let data = LongTermData::from_store(pairs, &store, report, &scenario.ip2asn);
     Ok(FabricCollection { data, outcome, digest, store })
 }
 
@@ -531,8 +528,7 @@ pub fn collect_longterm_digest(
     let (store, report) =
         scenario.long_term_store_faulty(&pairs, profile, &RetryPolicy::default());
     let digest = s2s_obs::timed("dataset.digest", || store_digest(&store));
-    let timelines = Analysis::new(&store).timelines(&scenario.ip2asn);
-    let data = LongTermData { pairs, timelines, report, arena: Some(store.stats()) };
+    let data = LongTermData::from_store(pairs, &store, report, &scenario.ip2asn);
     (data, digest, store)
 }
 

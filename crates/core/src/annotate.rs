@@ -45,7 +45,9 @@ pub struct Annotated {
 
 /// Annotates one traceroute. The destination's AS (from `dst_addr`) is
 /// appended so the path spans source AS to destination AS even when the
-/// last router hop sits in the provider.
+/// last router hop sits in the provider. Timelines are annotated through
+/// the memoized [`crate::ColumnarAnnotator`]; this is the per-record
+/// reference it is tested against.
 pub fn annotate(rec: &TracerouteRecord, map: &Ip2AsnMap) -> Annotated {
     let mut any_unmapped = false;
     let mut any_unresponsive = false;

@@ -7,6 +7,10 @@
 //! (a couple of bytes per sample) is what lets a 16-month full-mesh
 //! campaign fit in memory.
 //!
+//! Timelines are built from a [`s2s_probe::TraceStore`] by
+//! [`crate::Analysis::timelines`]; [`TimelineBuilder`] is its
+//! record-at-a-time reference.
+//!
 //! Per the paper, only *completed* traceroutes enter a timeline, and
 //! traceroutes whose AS path loops are excluded from path analyses (their
 //! RTTs are still dropped — the paper removes the whole traceroute).
@@ -96,8 +100,10 @@ impl TraceTimeline {
     }
 }
 
-/// Streaming builder: the accumulator used with
-/// `s2s_probe::Campaign::run_traceroute`.
+/// The record-at-a-time timeline builder: annotates each record on its own
+/// ([`annotate`]) and folds it in. It is the reference the columnar path
+/// ([`crate::Analysis::timelines`] over a [`s2s_probe::TraceStore`]) is
+/// tested against; production builds every timeline through that path.
 pub struct TimelineBuilder<'m> {
     timeline: TraceTimeline,
     map: &'m Ip2AsnMap,

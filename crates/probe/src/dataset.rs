@@ -8,8 +8,7 @@
 
 use crate::records::{HopObs, TracerouteRecord};
 use crate::store::{IdIndex, TraceStore, TraceView, NO_ADDR};
-use crate::PingTimeline;
-use s2s_types::{ClusterId, Protocol, SimDuration, SimTime};
+use s2s_types::{ClusterId, Protocol, SimTime};
 use std::fmt::Write as _;
 use std::net::IpAddr;
 use std::str::FromStr;
@@ -280,74 +279,6 @@ pub fn traceroute_from_line(line: &str, lineno: usize) -> Result<TracerouteRecor
     Ok(TracerouteRecord { src, dst, proto, t, hops, reached, e2e_rtt_ms, src_addr, dst_addr })
 }
 
-/// Serializes a ping timeline to a line:
-/// `P|src|dst|proto|start_minute|interval_minutes|rtt;rtt;*;...`
-///
-/// RTTs use the same lossless shortest-round-trip rendering as
-/// [`traceroute_to_line`], so parse ∘ serialize is the identity on the
-/// stored `f32` bits (NaN excepted, which renders as `*`).
-pub fn ping_timeline_to_line(tl: &PingTimeline) -> String {
-    let rtts: Vec<String> = tl
-        .rtts
-        .iter()
-        .map(|r| {
-            if r.is_nan() {
-                "*".into()
-            } else {
-                format!("{r}")
-            }
-        })
-        .collect();
-    format!(
-        "P|{}|{}|{}|{}|{}|{}",
-        tl.src.0,
-        tl.dst.0,
-        proto_tag(tl.proto),
-        tl.start.minutes(),
-        tl.interval.minutes(),
-        rtts.join(";")
-    )
-}
-
-/// Parses a ping-timeline line produced by [`ping_timeline_to_line`].
-/// Single-pass over the split, like [`traceroute_from_line`].
-pub fn ping_timeline_from_line(line: &str, lineno: usize) -> Result<PingTimeline, ParseError> {
-    let err = |m: String| ParseError { line: lineno, message: m };
-    let shape_err =
-        || err(format!("expected 7 P-record fields, got {}", line.split('|').count()));
-    let mut it = line.split('|');
-    if it.next() != Some("P") {
-        return Err(shape_err());
-    }
-    let mut next = || it.next().ok_or_else(shape_err);
-    let src = ClusterId::new(next()?.parse().map_err(|_| err("bad src".into()))?);
-    let dst = ClusterId::new(next()?.parse().map_err(|_| err("bad dst".into()))?);
-    let proto = parse_proto(next()?).map_err(&err)?;
-    let start =
-        SimTime::from_minutes(next()?.parse().map_err(|_| err("bad start".into()))?);
-    let interval =
-        SimDuration::from_minutes(next()?.parse().map_err(|_| err("bad interval".into()))?);
-    let rtts_field = next()?;
-    if it.next().is_some() {
-        return Err(shape_err());
-    }
-    let rtts = if rtts_field.is_empty() {
-        Vec::new()
-    } else {
-        rtts_field
-            .split(';')
-            .map(|s| {
-                if s == "*" {
-                    Ok(f32::NAN)
-                } else {
-                    s.parse::<f32>().map_err(|_| err(format!("bad rtt '{s}'")))
-                }
-            })
-            .collect::<Result<Vec<f32>, _>>()?
-    };
-    Ok(PingTimeline { src, dst, proto, start, interval, rtts })
-}
-
 /// Writes traceroute records to a writer, one line each.
 pub fn write_traceroutes<W: std::io::Write>(
     w: &mut W,
@@ -360,13 +291,10 @@ pub fn write_traceroutes<W: std::io::Write>(
 }
 
 /// The longest archive line the importers read, in bytes (1 MiB). The
-/// writers stay far below it: a traceroute line is at most ~17 KiB (255
+/// writer stays far below it: a traceroute line is at most ~17 KiB (255
 /// hops of at most 65 bytes — a 39-byte IPv6 address, a 24-byte RTT and two
-/// separators — after a header under 200 bytes), and a ping-timeline line
-/// takes at most 16 bytes per sample, ~10.8 KiB for the paper's 672-sample
-/// week and under 1 MiB for any schedule up to 65 536 samples (682 days at
-/// 15 minutes, beyond the paper's 485-day campaign). A longer line is
-/// damage: a strict import errors on it, a lossy one counts it skipped.
+/// separators — after a header under 200 bytes). A longer line is damage:
+/// a strict import errors on it, a lossy one counts it skipped.
 pub const MAX_ARCHIVE_LINE: usize = 1 << 20;
 
 /// What one [`read_capped_line`] call found.
@@ -524,15 +452,6 @@ impl ImportReport {
 pub fn read_traceroutes_lossy<R: std::io::BufRead>(
     r: R,
 ) -> std::io::Result<(Vec<TracerouteRecord>, ImportReport)> {
-    read_lossy(r, traceroute_from_line)
-}
-
-/// The lossy import loop behind [`read_traceroutes_lossy`] and
-/// [`read_ping_timelines_lossy`].
-fn read_lossy<R: std::io::BufRead, T>(
-    r: R,
-    parse: impl Fn(&str, usize) -> Result<T, ParseError>,
-) -> std::io::Result<(Vec<T>, ImportReport)> {
     let mut out = Vec::new();
     let mut report = ImportReport::default();
     let mut lines = ArchiveLines::new(r);
@@ -547,7 +466,7 @@ fn read_lossy<R: std::io::BufRead, T>(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse(line, lineno) {
+        match traceroute_from_line(line, lineno) {
             Ok(rec) => {
                 report.imported += 1;
                 out.push(rec);
@@ -556,24 +475,6 @@ fn read_lossy<R: std::io::BufRead, T>(
         }
     }
     Ok((out, report))
-}
-
-/// Writes ping timelines to a writer, one line each.
-pub fn write_ping_timelines<W: std::io::Write>(
-    w: &mut W,
-    timelines: &[PingTimeline],
-) -> std::io::Result<()> {
-    for tl in timelines {
-        writeln!(w, "{}", ping_timeline_to_line(tl))?;
-    }
-    Ok(())
-}
-
-/// The ping counterpart of [`read_traceroutes_lossy`].
-pub fn read_ping_timelines_lossy<R: std::io::BufRead>(
-    r: R,
-) -> std::io::Result<(Vec<PingTimeline>, ImportReport)> {
-    read_lossy(r, ping_timeline_from_line)
 }
 
 /// Like [`write_traceroutes`], but each line passes through the fault
@@ -610,7 +511,6 @@ mod tests {
         #[test]
         fn prop_parser_never_panics(line in ".*") {
             let _ = traceroute_from_line(&line, 0);
-            let _ = ping_timeline_from_line(&line, 0);
         }
 
         /// Pipe-structured garbage with the right field count must not
@@ -769,12 +669,6 @@ mod tests {
         let text = format!("{good}\ngarbage\n");
         let e = read_traceroutes(std::io::Cursor::new(text.into_bytes())).unwrap_err();
         assert_eq!(e.line, 2, "editors count from 1");
-        // Ping importer: damage on line 2 reports line 2.
-        let (_, report) = read_ping_timelines_lossy(std::io::Cursor::new(
-            b"# comment\nP|not|a|timeline\n".to_vec(),
-        ))
-        .unwrap();
-        assert_eq!(report.first_errors[0].line, 2);
     }
 
     #[test]
@@ -855,25 +749,6 @@ mod tests {
             write_traceroute_line(&mut buf, &v.to_record());
             assert_eq!(buf, traceroute_to_line(r), "record writer diverged");
         }
-    }
-
-    #[test]
-    fn ping_timeline_round_trips() {
-        let tl = PingTimeline {
-            src: ClusterId::new(1),
-            dst: ClusterId::new(2),
-            proto: Protocol::V6,
-            start: SimTime::from_minutes(500),
-            interval: SimDuration::from_minutes(15),
-            rtts: vec![10.5, f32::NAN, 12.25],
-        };
-        let back = ping_timeline_from_line(&ping_timeline_to_line(&tl), 0).unwrap();
-        assert_eq!(back.src, tl.src);
-        assert_eq!(back.proto, tl.proto);
-        assert_eq!(back.rtts.len(), 3);
-        assert_eq!(back.rtts[0], 10.5);
-        assert!(back.rtts[1].is_nan());
-        assert_eq!(back.rtts[2], 12.25);
     }
 
     #[test]
@@ -960,41 +835,6 @@ mod tests {
             read_traceroutes_lossy(archive_with_huge_line(&good, MAX_ARCHIVE_LINE as u64)).unwrap();
         assert_eq!(out.len(), 3);
         assert!(report.first_errors[0].message.contains("T-record"), "{report:?}");
-        // The ping importer: an oversize tail with no newline before EOF.
-        let tl = PingTimeline {
-            src: ClusterId::new(1),
-            dst: ClusterId::new(2),
-            proto: Protocol::V6,
-            start: SimTime::T0,
-            interval: SimDuration::from_minutes(15),
-            rtts: vec![10.0; 672],
-        };
-        let line = ping_timeline_to_line(&tl);
-        let input = std::io::Read::chain(
-            std::io::Cursor::new(format!("{line}\n").into_bytes()),
-            std::io::Read::take(std::io::repeat(b'9'), huge),
-        );
-        let (out, report) = read_ping_timelines_lossy(std::io::BufReader::new(input)).unwrap();
-        assert_eq!((out.len(), report.skipped), (1, 1));
-    }
-
-    #[test]
-    fn ping_lossy_import_mirrors_traceroute_behavior() {
-        let tl = PingTimeline {
-            src: ClusterId::new(1),
-            dst: ClusterId::new(2),
-            proto: Protocol::V4,
-            start: SimTime::T0,
-            interval: SimDuration::from_minutes(15),
-            rtts: vec![10.0, f32::NAN],
-        };
-        let mut buf = Vec::new();
-        write_ping_timelines(&mut buf, &[tl]).unwrap();
-        buf.extend_from_slice(b"P|not|a|timeline\n");
-        let (out, report) = read_ping_timelines_lossy(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(report.imported, 1);
-        assert_eq!(report.skipped, 1);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use s2s_core::bestpath::best_path_analysis;
 use s2s_core::changes::{detect_changes, path_stats};
-use s2s_core::timeline::TimelineBuilder;
+use s2s_core::Analysis;
 use s2s_netsim::{CongestionModel, Network, NetworkParams};
-use s2s_probe::{Campaign, CampaignConfig, TraceOptions};
+use s2s_probe::{Campaign, CampaignConfig, TraceOptions, TraceStore};
 use s2s_routing::{Dynamics, DynamicsParams, RouteOracle};
 use s2s_topology::{build_topology, TopologyParams};
 use s2s_types::{ClusterId, Protocol, SimDuration, SimTime};
@@ -48,19 +48,22 @@ fn main() {
         protocols: vec![Protocol::V4],
         threads: 4,
     };
-    let timelines: Vec<_> = Campaign::new(cfg)
+    // Each (pair, protocol) folds its raw records into a columnar store;
+    // merged in pair order, the §4 analysis builds one timeline per group.
+    let (stores, _) = Campaign::new(cfg)
         .run_traceroute(
             &net,
             &pairs,
             TraceOptions::default(),
-            |s, d, p| TimelineBuilder::new(s, d, p, &ip2asn),
-            |b, rec| b.push(rec),
+            |_, _, _| TraceStore::new(),
+            |st, rec| st.push(&rec),
         )
-        .expect("in-memory campaign cannot fail")
-        .0
-        .into_iter()
-        .map(TimelineBuilder::finish)
-        .collect();
+        .expect("in-memory campaign cannot fail");
+    let mut store = TraceStore::new();
+    for st in &stores {
+        store.absorb(st);
+    }
+    let timelines = Analysis::new(&store).timelines(&ip2asn);
 
     for tl in &timelines {
         let changes = detect_changes(tl);
